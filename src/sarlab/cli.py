@@ -55,8 +55,8 @@ def cmd_features(args) -> int:
 
 
 def cmd_train(args) -> int:
-    from .harness import build_manifest, load_mels, split_dataset
-    from .model import SarConfig, TrainConfig, save_checkpoint, train_autoencoder
+    from .harness import build_manifest, split_dataset, train_systems
+    from .model import SarConfig
     data = Path(args.data)
     if not data.is_dir():
         raise UsageError("data directory not found: %s" % data)
@@ -64,27 +64,14 @@ def cmd_train(args) -> int:
     if args.config:
         overrides = json.loads(Path(args.config).read_text())
     sar_cfg = SarConfig(**overrides.get("sar_config", {}))
-    sar_cfg.alpha_max = args.alpha_max
     manifest = build_manifest(data)
     split = split_dataset(manifest, args.seed)
-    train_cfg = TrainConfig(
-        batch_size=overrides.get("batch_size", 16),
-        lr=overrides.get("lr", 1e-3),
-        max_epochs=overrides.get("max_epochs", 50),
-        patience=overrides.get("patience", 10),
-        seed=args.seed,
-        alpha_max=args.alpha_max,
-    )
-    limit = overrides.get("train_limit")
-    train_ids = split.train[:limit] if limit else split.train
-    train_mels = load_mels(manifest, train_ids, sar_cfg.n_mels)
-    val_mels = load_mels(manifest, split.val, sar_cfg.n_mels)
-    model, history = train_autoencoder(train_mels, val_mels, train_cfg, sar_cfg)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(model, out)
     history_path = out.with_suffix(".history.csv")
-    history.save_csv(history_path)
+    train_systems(manifest, split, overrides, sar_cfg, args.seed,
+                  [(args.alpha_max, out, history_path)],
+                  overrides.get("train_limit"))
     print("checkpoint: %s" % out)
     print("history: %s" % history_path)
     return 0
@@ -154,13 +141,16 @@ def cmd_estoi(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    from .harness import emit_report, run_table_experiment
+    from .harness import default_threads, emit_report, run_table_experiment
     cfg_path = Path(args.config)
     if not cfg_path.exists():
         raise UsageError("config not found: %s" % cfg_path)
     config = json.loads(cfg_path.read_text())
+    # --threads, then the config's "threads", then SARLAB_THREADS / CPU count
     if args.threads:
         config["threads"] = args.threads
+    elif "threads" not in config:
+        config["threads"] = default_threads()
     table = run_table_experiment(config, train_first=args.train_first)
     out_dir = config.get("output_dir", ".")
     written = emit_report(table, out_dir)
@@ -227,9 +217,6 @@ def main(argv=None) -> int:
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s")
-    if args.threads is None:
-        from .harness import default_threads
-        args.threads = default_threads()
     try:
         return args.func(args)
     except (UsageError, ValueError, KeyError, FileNotFoundError,

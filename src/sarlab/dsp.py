@@ -145,7 +145,7 @@ def wav_duration(path) -> float:
                 break
             cid, size = struct.unpack("<4sI", hdr)
             if cid == b"fmt ":
-                fmt = f.read(size)
+                fmt = f.read(size + (size & 1))
                 _, channels, rate, _, block_align, _ = struct.unpack(
                     "<HHIIHH", fmt[:16])
             elif cid == b"data":

@@ -51,15 +51,12 @@ class Manifest:
     name: str = ""
 
     def __post_init__(self):
-        ids = [e.utt_id for e in self.entries]
-        if len(ids) != len(set(ids)):
+        self._by_id = {e.utt_id: e for e in self.entries}
+        if len(self._by_id) != len(self.entries):
             raise ValueError("duplicate utterance ids in manifest")
 
     def by_id(self, utt_id: str) -> ManifestEntry:
-        for e in self.entries:
-            if e.utt_id == utt_id:
-                return e
-        raise KeyError(utt_id)
+        return self._by_id[utt_id]
 
 
 @dataclass
@@ -145,9 +142,7 @@ def derive_seed(base_seed: int, system: str, condition: str, utt_id: str) -> int
 
 def _evaluate_utterance(system: EvalSystem, model, cspec: CorruptionSpec,
                         wav_path: str, utt_id: str, base_seed: int,
-                        stft_cfg: StftConfig, bank, gl_iterations: int,
-                        corrupt_before_encode: bool,
-                        wav_dir=None) -> float:
+                        stft_cfg: StftConfig, bank, gl_iterations: int) -> float:
     clip = read_wav(wav_path)
     seed = derive_seed(base_seed, system.kind, cspec.label, utt_id)
     local = replace(cspec, seed=seed)
@@ -158,27 +153,17 @@ def _evaluate_utterance(system: EvalSystem, model, cspec: CorruptionSpec,
         frames = corrupt(mel.frames, local) if feature_kind else mel.frames
         cond = MelSpectrogram(frames, clip.sample_rate, stft_cfg.hop)
     else:
-        if feature_kind and corrupt_before_encode:
-            mel = MelSpectrogram(corrupt(mel.frames, local),
-                                 clip.sample_rate, stft_cfg.hop)
-            feature_kind = False
         z = model.encode(mel)
         if feature_kind:
             z = corrupt(z, local)
         cond = MelSpectrogram(model.decode(z), clip.sample_rate, stft_cfg.hop)
     synth = griffin_lim(cond, stft_cfg, bank, iterations=gl_iterations)
-    if wav_dir is not None:
-        from .dsp import write_wav
-        target = Path(wav_dir) / system.kind / cspec.label
-        target.mkdir(parents=True, exist_ok=True)
-        write_wav(synth, target / ("%s.wav" % utt_id))
     return estoi(clip, synth)
 
 
 def evaluate_system(system: EvalSystem, cspec: CorruptionSpec, utterances,
                     base_seed: int = 1337, stft_cfg: StftConfig | None = None,
-                    bank=None, gl_iterations: int = 60, threads: int = 1,
-                    corrupt_before_encode: bool = False, wav_dir=None) -> list:
+                    bank=None, gl_iterations: int = 60, threads: int = 1) -> list:
     """Per-utterance ESTOI scores; `utterances` is [(utt_id, wav_path), ...]."""
     if not utterances:
         raise ValueError("no utterances to evaluate")
@@ -196,7 +181,7 @@ def evaluate_system(system: EvalSystem, cspec: CorruptionSpec, utterances,
         for utt_id, path in chunk:
             out[utt_id] = _evaluate_utterance(
                 system, local_model, cspec, path, utt_id, base_seed,
-                stft_cfg, bank, gl_iterations, corrupt_before_encode, wav_dir)
+                stft_cfg, bank, gl_iterations)
         return out
 
     if threads <= 1:
@@ -234,38 +219,27 @@ def load_mels(manifest: Manifest, ids, n_mels: int = 80) -> list:
     return mels
 
 
-def train_systems(manifest: Manifest, split: SplitSpec, train_cfg: dict,
-                  sar_cfg: SarConfig, out_dir, seed: int = 1337,
-                  train_limit: int | None = None) -> dict:
-    """Train AE (alpha_max=0) and SAR (alpha_max from config) from one seed.
+def train_systems(manifest: Manifest, split: SplitSpec, overrides: dict,
+                  sar_cfg: SarConfig, seed: int, runs,
+                  train_limit: int | None = None) -> None:
+    """Train one model per (alpha_max, checkpoint path, history path) in `runs`.
 
-    Returns {"ae": path, "sar": path}; also writes history CSVs.
+    Every run starts from `seed` on the same mels: the first `train_limit`
+    training utterances (all when None) and the validation set.  Of
+    `overrides`, a JSON config dict, only the `TrainConfig` schedule keys
+    (batch_size, lr, max_epochs, patience) are read.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    schedule = {k: overrides[k] for k in
+                ("batch_size", "lr", "max_epochs", "patience") if k in overrides}
     train_ids = split.train[:train_limit] if train_limit else split.train
     train_mels = load_mels(manifest, train_ids, sar_cfg.n_mels)
     val_mels = load_mels(manifest, split.val, sar_cfg.n_mels)
-    paths = {}
-    for name, alpha in (("ae", 0.0), ("sar", sar_cfg.alpha_max)):
-        cfg = TrainConfig(
-            batch_size=train_cfg.get("batch_size", 16),
-            lr=train_cfg.get("lr", 1e-3),
-            max_epochs=train_cfg.get("max_epochs", 50),
-            patience=train_cfg.get("patience", 10),
-            seed=seed,
-            alpha_max=alpha,
-        )
-        model_cfg = replace(sar_cfg, alpha_max=alpha)
-        log.info("training %s system (alpha_max=%g)", name, alpha)
-        model, history = train_autoencoder(
-            train_mels, val_mels, cfg, model_cfg,
-            min_epochs=train_cfg.get("min_epochs", 1))
-        path = out_dir / ("%s.ckpt" % name)
-        save_checkpoint(model, path)
-        history.save_csv(out_dir / ("%s_history.csv" % name))
-        paths[name] = str(path)
-    return paths
+    for alpha, ckpt_path, history_path in runs:
+        cfg = TrainConfig(seed=seed, alpha_max=alpha, **schedule)
+        log.info("training %s (alpha_max=%g)", ckpt_path, alpha)
+        model, history = train_autoencoder(train_mels, val_mels, cfg, sar_cfg)
+        save_checkpoint(model, ckpt_path)
+        history.save_csv(history_path)
 
 
 def run_table_experiment(config, train_first: bool = False) -> ReportTable:
@@ -288,13 +262,19 @@ def run_table_experiment(config, train_first: bool = False) -> ReportTable:
     if need_ckpt:
         if not (train_first or config.get("train_first")):
             raise ValueError("missing checkpoints for %s (pass train_first)" % need_ckpt)
-        sar_dict = config.get("sar_config", {})
-        trained = train_systems(
-            manifest, split, config.get("train", {}), SarConfig(**sar_dict),
-            Path(config.get("output_dir", ".")) / "checkpoints",
-            seed=config.get("train_seed", base_seed),
-            train_limit=config.get("train_limit"))
-        checkpoints.update({k: v for k, v in trained.items() if k in need_ckpt})
+        sar_cfg = SarConfig(**config.get("sar_config", {}))
+        ckpt_dir = Path(config.get("output_dir", ".")) / "checkpoints"
+        ckpt_dir.mkdir(parents=True, exist_ok=True)
+        runs = []
+        for kind, alpha in (("ae", 0.0), ("sar", sar_cfg.alpha_max)):
+            if kind in need_ckpt:
+                ckpt = ckpt_dir / ("%s.ckpt" % kind)
+                runs.append((alpha, ckpt, ckpt_dir / ("%s_history.csv" % kind)))
+                checkpoints[kind] = str(ckpt)
+        train_systems(
+            manifest, split, config.get("train", {}), sar_cfg,
+            config.get("train_seed", base_seed), runs,
+            config.get("train_limit"))
 
     systems = [EvalSystem(k, checkpoints.get(k)) for k in system_kinds]
     conditions = [CorruptionSpec.from_dict(d)
@@ -317,10 +297,7 @@ def run_table_experiment(config, train_first: bool = False) -> ReportTable:
             log.info("evaluating %s / %s", system.kind, cond.label)
             scores = evaluate_system(
                 system, cond, utterances, base_seed=base_seed,
-                gl_iterations=gl_iterations, threads=threads,
-                corrupt_before_encode=config.get("corrupt_before_encode", False),
-                wav_dir=(Path(config["output_dir"]) / "wavs"
-                         if config.get("save_wavs") else None))
+                gl_iterations=gl_iterations, threads=threads)
             table.scores[(system.kind, cond.label)] = {
                 utt_id: score for (utt_id, _), score in zip(utterances, scores)}
     return table

@@ -2,16 +2,16 @@
 
 Encoder: FC+PReLU stack -> stacked BLSTMs -> tanh-headed FC, so the latent
 sequence lives strictly inside (-1, 1).  Decoder is frame-local: FC+PReLU ->
-linear FC back to mel width.  During training each sequence draws a masking
-ratio alpha ~ U(0, alpha_max) and latent elements are dropped (inverted
-dropout); at inference masking is the identity.
+linear FC back to mel width.  During training the latent is multiplied by
+`latent_mask`: each sequence draws a masking ratio alpha ~ U(0, alpha_max)
+and latent elements are dropped (inverted dropout).  Inference (`encode`,
+`decode`) never masks.
 """
 
 import csv
-import enum
 import json
 import struct
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, asdict, field, replace
 
 import numpy as np
 
@@ -19,11 +19,6 @@ from . import nn
 from .dsp import MelSpectrogram
 
 CKPT_MAGIC = b"SARCKPT1"
-
-
-class MaskMode(enum.Enum):
-    TRAIN = "train"
-    INFERENCE = "inference"
 
 
 @dataclass
@@ -48,9 +43,9 @@ class SarConfig:
 
 @dataclass
 class TrainConfig:
-    batch_size: int = 64
-    lr: float = 1e-4
-    max_epochs: int = 200
+    batch_size: int = 16
+    lr: float = 1e-3
+    max_epochs: int = 50
     patience: int = 10
     seed: int = 1337
     alpha_max: float = 0.2
@@ -74,24 +69,33 @@ def sample_mask_ratio(rng: np.random.Generator, alpha_max: float) -> float:
     return float(rng.uniform(0.0, alpha_max))
 
 
-def apply_mask(z: np.ndarray, alpha: float, rng: np.random.Generator,
-               mode: MaskMode) -> np.ndarray:
-    """Inverted dropout on the latent: zero with prob alpha, scale survivors.
+def latent_mask(rng: np.random.Generator, alpha_max: float,
+                shape) -> np.ndarray:
+    """Inverted-dropout multiplier for a (B, T, D) latent batch, float32.
 
-    Inference mode is the exact identity regardless of alpha.
+    Each sequence draws its own alpha ~ U(0, alpha_max), then keeps each
+    element with probability 1 - alpha and scales survivors by
+    1 / (1 - alpha).  A sequence whose alpha is 0 gets exact ones and
+    draws nothing more from `rng`.
     """
-    if not 0 <= alpha < 1:
-        raise ValueError("alpha must be in [0, 1)")
-    if mode is MaskMode.INFERENCE or alpha == 0:
-        return z
-    keep = rng.uniform(size=z.shape) >= alpha
-    return z * keep.astype(z.dtype) / (1.0 - alpha)
+    mask = np.ones(shape, dtype=np.float32)
+    for b in range(shape[0]):
+        alpha = sample_mask_ratio(rng, alpha_max)
+        if alpha > 0:
+            keep = rng.uniform(size=shape[1:]) >= alpha
+            mask[b] = keep / (1.0 - alpha)
+    return mask
 
 
-class SarModel:
-    """Auto-encoder with named parameter tensors and a fixed build order."""
+class SarModel(nn.Layer):
+    """Auto-encoder with named parameter tensors and a fixed build order.
+
+    Its tensors are the encoder's layers' then the decoder's, named
+    "<layer>.<key>" (e.g. "enc_blstm0.fwd.wx"), in checkpoint order.
+    """
 
     def __init__(self, config: SarConfig, seed: int = 0, dtype=np.float32):
+        super().__init__()
         self.config = config
         self.seed = seed
         self.step = 0
@@ -109,7 +113,6 @@ class SarModel:
         enc.append(("enc_head", nn.Linear(d, c.latent_dim, rng=rng, dtype=dtype)))
         enc.append(("enc_tanh", nn.Tanh()))
         self.encoder = nn.Sequential(enc)
-        self.mask_layer = nn.FixedMask()
         dec = [
             ("dec_fc0", nn.Linear(c.latent_dim, c.dec_hidden, rng=rng, dtype=dtype)),
             ("dec_prelu0", nn.PRelu(c.dec_hidden, dtype=dtype)),
@@ -120,34 +123,25 @@ class SarModel:
 
     # -- parameter plumbing -------------------------------------------------
 
-    def named_params(self) -> dict:
-        out = dict(self.encoder.named_params())
-        out.update(self.decoder.named_params())
-        return out
-
-    def named_grads(self) -> dict:
-        out = dict(self.encoder.named_grads())
-        out.update(self.decoder.named_grads())
-        return out
-
-    def zero_grads(self):
-        self.encoder.zero_grads()
-        self.decoder.zero_grads()
-
-    def set_params(self, flat: dict):
-        enc_names = set(self.encoder.named_params())
-        self.encoder.set_params({k: v for k, v in flat.items() if k in enc_names})
-        dec_names = set(self.decoder.named_params())
-        self.decoder.set_params({k: v for k, v in flat.items() if k in dec_names})
+    def children(self):
+        return self.encoder.layers + self.decoder.layers
 
     def snapshot(self) -> dict:
         return {k: v.copy() for k, v in self.named_params().items()}
 
     def astype(self, dtype):
-        self.encoder.astype(dtype)
-        self.decoder.astype(dtype)
         self.dtype = dtype
-        return self
+        return super().astype(dtype)
+
+    # -- training -----------------------------------------------------------
+
+    def forward(self, x: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        """Training forward on a (B, T, n_mels) batch: encode, mask, decode."""
+        return self.decoder.forward(self.encoder.forward(x) * mask)
+
+    def backward(self, dpred: np.ndarray, mask: np.ndarray) -> None:
+        """Backward through `forward` with the same mask; accumulates grads."""
+        self.encoder.backward(self.decoder.backward(dpred) * mask)
 
     # -- inference ----------------------------------------------------------
 
@@ -249,18 +243,19 @@ def _validation_loss(model: SarModel, frames, batch_size=32) -> float:
 
 
 def train_autoencoder(train_set, val_set, cfg: TrainConfig,
-                      sar_cfg: SarConfig, min_epochs: int = 1):
+                      sar_cfg: SarConfig):
     """Train the masked auto-encoder; returns (model at best val loss, history).
 
-    Per step: one alpha draw per sequence, elementwise latent dropout with
-    survivor rescaling, masked-frame-aware MSE, global-norm gradient clip,
-    Adam.  Validation runs unmasked; early stopping tracks it.
+    Per step: `latent_mask` (one alpha draw per sequence), masked-frame-aware
+    MSE, global-norm gradient clip, Adam.  Validation runs unmasked; early
+    stopping tracks it.  The model's config records `cfg.alpha_max`, the
+    ratio it was trained with, whatever `sar_cfg.alpha_max` says.
     """
     if not train_set or not val_set:
         raise ValueError("train and validation sets must be non-empty")
     train_frames = _as_frame_list(train_set)
     val_frames = _as_frame_list(val_set)
-    model = SarModel(sar_cfg, seed=cfg.seed)
+    model = SarModel(replace(sar_cfg, alpha_max=cfg.alpha_max), seed=cfg.seed)
     opt = nn.Adam(lr=cfg.lr)
     history = TrainingHistory(alpha_max=cfg.alpha_max, seed=cfg.seed)
     best_params = model.snapshot()
@@ -273,25 +268,16 @@ def train_autoencoder(train_set, val_set, cfg: TrainConfig,
         epoch_n = 0
         for batch_idx in _batches(order, train_frames, cfg.batch_size):
             x, valid = _pad_batch([train_frames[j] for j in batch_idx])
-            z = model.encoder.forward(x)
-            mask = np.ones_like(z)
-            for b in range(len(batch_idx)):
-                alpha = sample_mask_ratio(rng, cfg.alpha_max)
-                if alpha > 0:
-                    keep = rng.uniform(size=z.shape[1:]) >= alpha
-                    mask[b] = keep / (1.0 - alpha)
-            model.mask_layer.mask = mask
-            zm = model.mask_layer.forward(z)
-            pred = model.decoder.forward(zm)
+            mask = latent_mask(rng, cfg.alpha_max,
+                               x.shape[:2] + (sar_cfg.latent_dim,))
+            pred = model.forward(x, mask)
             loss, dpred = nn.mse_with_grad(pred, x, valid)
             if not np.isfinite(loss):
                 raise RuntimeError(
                     "non-finite training loss at epoch %d (lr=%g); aborting"
                     % (epoch, cfg.lr))
             model.zero_grads()
-            dz = model.decoder.backward(dpred.astype(np.float32))
-            dz = model.mask_layer.backward(dz)
-            model.encoder.backward(dz)
+            model.backward(dpred, mask)
             grads = model.named_grads()
             nn.clip_global_norm(grads, cfg.grad_clip)
             opt.step(model.named_params(), grads)
@@ -309,7 +295,7 @@ def train_autoencoder(train_set, val_set, cfg: TrainConfig,
             bad_epochs = 0
         else:
             bad_epochs += 1
-            if bad_epochs >= cfg.patience and epoch + 1 >= min_epochs:
+            if bad_epochs >= cfg.patience:
                 break
     model.set_params(best_params)
     return model, history

@@ -20,17 +20,49 @@ def make_rng(seed: int) -> np.random.Generator:
 
 
 class Layer:
+    """A node with named tensors and named sub-layers.
+
+    Every tensor walk (parameters, gradients, dtype casts) goes through
+    `_walk`, so tensor names and their order are fixed in one place:
+    a layer's own tensors first, then each child's, as "child.key".
+    """
+
     def __init__(self):
         self.params: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
 
+    def children(self):
+        """(name, layer) for each sub-layer, in tensor order."""
+        return []
+
+    def _walk(self, prefix=""):
+        for k in self.params:
+            yield prefix + k, self, k
+        for name, child in self.children():
+            yield from child._walk(prefix + name + ".")
+
+    def named_params(self) -> dict:
+        return {name: layer.params[k] for name, layer, k in self._walk()}
+
+    def named_grads(self) -> dict:
+        return {name: layer.grads[k] for name, layer, k in self._walk()}
+
+    def set_params(self, flat: dict):
+        for name, layer, k in self._walk():
+            if name not in flat:
+                raise KeyError("missing parameter tensor: %s" % name)
+            if flat[name].shape != layer.params[k].shape:
+                raise ValueError("shape mismatch for tensor %s: %s vs %s"
+                                 % (name, flat[name].shape, layer.params[k].shape))
+            layer.params[k] = flat[name].astype(layer.params[k].dtype)
+
     def zero_grads(self):
-        for k, p in self.params.items():
-            self.grads[k] = np.zeros_like(p)
+        for _, layer, k in self._walk():
+            layer.grads[k] = np.zeros_like(layer.params[k])
 
     def astype(self, dtype):
-        for k in self.params:
-            self.params[k] = self.params[k].astype(dtype)
+        for _, layer, k in self._walk():
+            layer.params[k] = layer.params[k].astype(dtype)
         self.zero_grads()
         return self
 
@@ -96,24 +128,6 @@ class Tanh(Layer):
 
     def backward(self, dy):
         return dy * (1.0 - self._y ** 2)
-
-
-class FixedMask(Layer):
-    """Multiply by a constant mask; the mask is not differentiated."""
-
-    def __init__(self):
-        super().__init__()
-        self.mask = None
-
-    def forward(self, x):
-        if self.mask is None:
-            return x
-        return x * self.mask
-
-    def backward(self, dy):
-        if self.mask is None:
-            return dy
-        return dy * self.mask
 
 
 class Lstm(Layer):
@@ -217,18 +231,8 @@ class Bilstm(Layer):
         self.bwd = Lstm(d_in, hidden, reverse=True, rng=rng, dtype=dtype)
         self.hidden = hidden
 
-    @property
-    def sublayers(self):
-        return {"fwd": self.fwd, "bwd": self.bwd}
-
-    def zero_grads(self):
-        self.fwd.zero_grads()
-        self.bwd.zero_grads()
-
-    def astype(self, dtype):
-        self.fwd.astype(dtype)
-        self.bwd.astype(dtype)
-        return self
+    def children(self):
+        return [("fwd", self.fwd), ("bwd", self.bwd)]
 
     def forward(self, x):
         return np.concatenate([self.fwd.forward(x), self.bwd.forward(x)], axis=-1)
@@ -253,39 +257,8 @@ class Sequential(Layer):
             dy = layer.backward(dy)
         return dy
 
-    def zero_grads(self):
-        for _, layer in self.layers:
-            layer.zero_grads()
-
-    def astype(self, dtype):
-        for _, layer in self.layers:
-            layer.astype(dtype)
-        return self
-
-    def _walk(self):
-        for name, layer in self.layers:
-            if isinstance(layer, Bilstm):
-                for sub, sl in layer.sublayers.items():
-                    for k in sl.params:
-                        yield "%s.%s.%s" % (name, sub, k), sl, k
-            else:
-                for k in layer.params:
-                    yield "%s.%s" % (name, k), layer, k
-
-    def named_params(self):
-        return {name: layer.params[k] for name, layer, k in self._walk()}
-
-    def named_grads(self):
-        return {name: layer.grads[k] for name, layer, k in self._walk()}
-
-    def set_params(self, flat: dict):
-        for name, layer, k in self._walk():
-            if name not in flat:
-                raise KeyError("missing parameter tensor: %s" % name)
-            if flat[name].shape != layer.params[k].shape:
-                raise ValueError("shape mismatch for tensor %s: %s vs %s"
-                                 % (name, flat[name].shape, layer.params[k].shape))
-            layer.params[k] = flat[name].astype(layer.params[k].dtype)
+    def children(self):
+        return self.layers
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,11 @@ from sarlab.corruption import degrade_bandwidth
 from sarlab.dsp import AudioClip, StftConfig, istft, resample, stft
 from sarlab.harness import emit_report, load_report, run_table_experiment
 from sarlab.metrics import estoi
-from sarlab.model import (MaskMode, SarConfig, SarModel, TrainConfig,
-                          apply_mask, sample_mask_ratio, train_autoencoder)
+from sarlab.model import (SarConfig, SarModel, TrainConfig, latent_mask,
+                          sample_mask_ratio, train_autoencoder)
 from sarlab.speechlike import make_corpus, speechlike_utterance
 
+from test_model import check_mask, ragged_batch, replayed_alphas
 from test_nn import check_model_grads, numeric_grad
 
 
@@ -66,26 +67,21 @@ class TestCriterion1Gradients:
                 target = nn.make_rng(2).standard_normal((1, 5, d_out))
                 check_model_grads(model, x, target, rtol=1e-4)
 
-            # full encode -> mask -> decode -> MSE composition
+            # the training step's encode -> latent mask -> decode -> masked
+            # MSE composition, on a ragged batch
             cfg = SarConfig(n_mels=4, fc_hidden=5, n_fc_enc=2, blstm_hidden=3,
                             n_blstm=2, latent_dim=4, dec_hidden=5)
             full = SarModel(cfg, seed=5).astype(np.float64)
-            x = nn.make_rng(3).standard_normal((1, 3, 4))
-            target = nn.make_rng(4).standard_normal((1, 3, 4))
-            mask = (nn.make_rng(5).uniform(size=(1, 3, 4)) > 0.25)
-            full.mask_layer.mask = mask.astype(np.float64) / 0.75
+            x, valid = ragged_batch(3, [3, 2], 4)
+            mask = latent_mask(nn.make_rng(5), 0.5, (2, 3, 4))
+            assert np.any(mask == 0)
 
             def loss():
-                z = full.encoder.forward(x)
-                zm = full.mask_layer.forward(z)
-                return nn.mse(full.decoder.forward(zm), target)
+                return nn.mse_with_grad(full.forward(x, mask), x, valid)[0]
 
             full.zero_grads()
-            pred = full.decoder.forward(
-                full.mask_layer.forward(full.encoder.forward(x)))
-            _, dpred = nn.mse_with_grad(pred, target)
-            full.encoder.backward(
-                full.mask_layer.backward(full.decoder.backward(dpred)))
+            _, dpred = nn.mse_with_grad(full.forward(x, mask), x, valid)
+            full.backward(dpred, mask)
             grads = full.named_grads()
             for name, p in full.named_params().items():
                 num = numeric_grad(loss, p)
@@ -169,14 +165,24 @@ class TestCriterion4Masking:
         label = ("criterion 4: masking contract (identities bitwise, "
                  "fraction +/-0.02, KS vs U(0,0.2) at 1%)")
         with criterion(label):
-            z = nn.make_rng(9).standard_normal((100, 100))
-            same = apply_mask(z, 0.0, nn.make_rng(0), MaskMode.TRAIN)
-            assert np.array_equal(same, z)
-            same = apply_mask(z, 0.7, nn.make_rng(0), MaskMode.INFERENCE)
-            assert np.array_equal(same, z)
+            z = nn.make_rng(9).standard_normal((4, 100, 100)).astype(np.float32)
+            ones = latent_mask(nn.make_rng(0), 0.0, z.shape)
+            assert np.all(ones == 1.0)
+            assert np.array_equal(z * ones, z)
 
-            masked = apply_mask(z, 0.3, nn.make_rng(1), MaskMode.TRAIN)
-            assert abs(np.mean(masked == 0) - 0.3) <= 0.02
+            # inference never masks, whatever alpha_max the model carries
+            cfg = SarConfig(n_mels=4, fc_hidden=5, n_fc_enc=2, blstm_hidden=3,
+                            n_blstm=2, latent_dim=4, dec_hidden=5,
+                            alpha_max=0.7)
+            model = SarModel(cfg, seed=0)
+            mel = nn.make_rng(1).standard_normal((6, 4))
+            unmasked = model.forward(mel[None].astype(np.float32),
+                                     np.ones((1, 6, 4), np.float32))
+            assert np.array_equal(model.reconstruct(mel), unmasked[0])
+
+            shape = (8, 100, 100)
+            check_mask(latent_mask(nn.make_rng(1), 0.6, shape),
+                       replayed_alphas(1, 0.6, shape))
 
             draws = np.array([sample_mask_ratio(nn.make_rng((10, i)), 0.2)
                               for i in range(10000)])
@@ -210,6 +216,7 @@ def desk_scale_report(tmp_path_factory):
     return table
 
 
+@pytest.mark.slow
 class TestCriterion5AntiDistortion:
     def test_directional_reproduction(self, desk_scale_report):
         label = ("criterion 5: anti-distortion reproduction "

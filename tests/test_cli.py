@@ -180,6 +180,28 @@ class TestExperimentCmd:
         rc = main(["experiment", "--config", str(cfg)])
         assert rc == 2
 
+    def test_threads_precedence(self, tmp_path, monkeypatch):
+        """--threads, then the config's "threads", then default_threads()."""
+        import sarlab.harness as harness
+        seen = []
+
+        def fake_run(config, train_first=False):
+            seen.append(config["threads"])
+            return harness.ReportTable(systems=[], conditions=[])
+
+        monkeypatch.setattr(harness, "default_threads", lambda: 4)
+        monkeypatch.setattr(harness, "run_table_experiment", fake_run)
+        with_threads = tmp_path / "with.json"
+        with_threads.write_text(json.dumps({"threads": 1,
+                                            "output_dir": str(tmp_path)}))
+        without = tmp_path / "without.json"
+        without.write_text(json.dumps({"output_dir": str(tmp_path)}))
+        assert main(["experiment", "--config", str(with_threads)]) == 0
+        assert main(["--threads", "3", "experiment",
+                     "--config", str(with_threads)]) == 0
+        assert main(["experiment", "--config", str(without)]) == 0
+        assert seen == [1, 3, 4]
+
     def test_rerun_identical_json(self, small_corpus, quick_checkpoints,
                                   tmp_path):
         cfg = tmp_path / "cfg.json"

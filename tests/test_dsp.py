@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,18 @@ class TestWavIO:
     def test_wav_duration(self, tmp_path):
         write_wav(AudioClip(np.zeros(32000) + 0.1, 16000), tmp_path / "d.wav")
         assert wav_duration(tmp_path / "d.wav") == pytest.approx(2.0)
+
+    def test_wav_duration_skips_pad_after_odd_fmt_chunk(self, tmp_path):
+        # RIFF pads every odd-sized chunk to an even length, fmt included
+        samples = (np.arange(8000) % 100 - 50).astype("<i2")
+        fmt = struct.pack("<HHIIHH", 1, 1, 16000, 32000, 2, 16) + b"\0"
+        body = (b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt + b"\0"
+                + b"data" + struct.pack("<I", samples.nbytes)
+                + samples.tobytes())
+        path = tmp_path / "odd_fmt.wav"
+        path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+        assert len(read_wav(path)) == 8000
+        assert wav_duration(path) == 0.5
 
 
 # ---------------------------------------------------------------------------

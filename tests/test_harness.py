@@ -39,6 +39,17 @@ class TestManifest:
         with pytest.raises(ValueError, match="no readable WAV"):
             build_manifest(tmp_path)
 
+    def test_by_id(self):
+        from sarlab.harness import Manifest, ManifestEntry
+        m = Manifest([ManifestEntry("a", "a.wav", 1.0),
+                      ManifestEntry("b", "b.wav", 2.0)])
+        assert m.by_id("b").path == "b.wav"
+        with pytest.raises(KeyError):
+            m.by_id("c")
+        with pytest.raises(ValueError, match="duplicate"):
+            Manifest([ManifestEntry("a", "a.wav", 1.0),
+                      ManifestEntry("a", "x/a.wav", 1.0)])
+
     def test_unreadable_skipped_with_warning(self, tmp_path, caplog):
         write_wav(speechlike_utterance(make_rng(3), duration=0.5),
                   tmp_path / "good.wav")
@@ -174,6 +185,20 @@ class TestExperiment:
         cfg = toy_config(small_corpus, {}, tmp_path)
         with pytest.raises(ValueError, match="missing checkpoints"):
             run_table_experiment(cfg)
+
+    def test_train_first_trains_only_missing(self, small_corpus,
+                                             quick_checkpoints, tmp_path):
+        tiny = {"fc_hidden": 8, "n_fc_enc": 1, "blstm_hidden": 4,
+                "n_blstm": 1, "latent_dim": 4, "dec_hidden": 8}
+        cfg = toy_config(small_corpus, {"ae": quick_checkpoints["ae"]},
+                         tmp_path, systems=["ae", "sar"],
+                         conditions=[{"kind": "none"}], train_first=True,
+                         train_limit=4, sar_config=tiny,
+                         train={"max_epochs": 1})
+        table = run_table_experiment(cfg)
+        written = sorted(p.name for p in (tmp_path / "checkpoints").iterdir())
+        assert written == ["sar.ckpt", "sar_history.csv"]
+        assert list(table.scores) == [("ae", "raw"), ("sar", "raw")]
 
     def test_mel_only_needs_no_checkpoint(self, small_corpus, tmp_path):
         cfg = toy_config(small_corpus, {}, tmp_path, systems=["mel"],

@@ -1,19 +1,23 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sarlab import nn
 from sarlab.model import (
-    MaskMode,
     SarConfig,
     SarModel,
     TrainConfig,
-    apply_mask,
+    latent_mask,
     load_checkpoint,
     reconstruction_loss,
     sample_mask_ratio,
     save_checkpoint,
     train_autoencoder,
 )
+
+from test_nn import numeric_grad
 
 TOY = SarConfig(n_mels=5, fc_hidden=6, n_fc_enc=2, blstm_hidden=4,
                 n_blstm=2, latent_dim=5, dec_hidden=6, alpha_max=0.2)
@@ -48,29 +52,75 @@ class TestMaskRatio:
             sample_mask_ratio(nn.make_rng(0), -0.1)
 
 
+def replayed_alphas(seed, alpha_max, shape):
+    """The per-sequence ratios `latent_mask` draws, replayed in its draw order:
+    one `sample_mask_ratio`, then one uniform per element only if alpha > 0."""
+    rng = nn.make_rng(seed)
+    alphas = []
+    for _ in range(shape[0]):
+        alpha = sample_mask_ratio(rng, alpha_max)
+        if alpha > 0:
+            rng.uniform(size=shape[1:])
+        alphas.append(alpha)
+    return alphas
+
+
+def check_mask(mask, alphas):
+    """Exact ones at alpha 0, survivors exactly 1/(1-alpha) in float32, and a
+    dropped fraction within 0.02 of each sequence's alpha."""
+    assert mask.dtype == np.float32
+    for m, alpha in zip(mask, alphas):
+        if alpha == 0:
+            assert np.all(m == 1.0)
+        assert np.all(m[m != 0] == np.float32(1.0 / (1.0 - alpha)))
+        assert abs(np.mean(m == 0) - alpha) <= 0.02
+
+
 class TestApplyMask:
+    """`latent_mask`, the multiplier training applies to the latent."""
+
     def test_zero_alpha_train_identity(self):
-        z = nn.make_rng(0).uniform(-1, 1, (20, 8))
-        out = apply_mask(z, 0.0, nn.make_rng(1), MaskMode.TRAIN)
-        assert np.array_equal(out, z)
+        z = nn.make_rng(0).uniform(-1, 1, (3, 20, 8)).astype(np.float32)
+        rng = nn.make_rng(1)
+        mask = latent_mask(rng, 0.0, z.shape)
+        assert mask.dtype == np.float32
+        assert np.array_equal(z * mask, z)
+        # alpha 0 draws nothing beyond the ratio itself
+        assert rng.uniform() == nn.make_rng(1).uniform()
 
     def test_inference_identity_any_alpha(self):
-        z = nn.make_rng(2).uniform(-1, 1, (20, 8))
+        mel = nn.make_rng(2).uniform(-2, 1, (9, 5))
+        x = mel[None].astype(np.float32)
+        outs = []
         for alpha in (0.0, 0.2, 0.9):
-            out = apply_mask(z, alpha, nn.make_rng(3), MaskMode.INFERENCE)
-            assert np.array_equal(out, z)
+            model = SarModel(replace(TOY, alpha_max=alpha), seed=3)
+            out = model.reconstruct(mel)
+            unmasked = model.forward(x, np.ones((1, 9, TOY.latent_dim), np.float32))
+            assert np.array_equal(out, unmasked[0])
+            outs.append(out)
+        assert all(np.array_equal(o, outs[0]) for o in outs)
 
     def test_zeroed_fraction(self):
-        z = np.ones((100, 100))
-        out = apply_mask(z, 0.5, nn.make_rng(4), MaskMode.TRAIN)
-        frac = np.mean(out == 0)
-        assert abs(frac - 0.5) < 0.02
-        # survivors rescaled by 1/(1-alpha)
-        assert np.all(out[out != 0] == pytest.approx(2.0))
+        shape = (8, 100, 100)
+        mask = latent_mask(nn.make_rng(4), 0.9, shape)
+        alphas = replayed_alphas(4, 0.9, shape)
+        assert len(set(alphas)) == len(alphas)  # one ratio per sequence
+        check_mask(mask, alphas)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           alpha_max=st.one_of(st.just(0.0), st.floats(0.0, 0.95)),
+           batch=st.integers(1, 3))
+    def test_mask_properties(self, seed, alpha_max, batch):
+        shape = (batch, 200, 100)
+        mask = latent_mask(nn.make_rng(seed), alpha_max, shape)
+        assert mask.shape == shape
+        check_mask(mask, replayed_alphas(seed, alpha_max, shape))
 
     def test_alpha_out_of_range(self):
-        with pytest.raises(ValueError):
-            apply_mask(np.ones((2, 2)), 1.0, nn.make_rng(0), MaskMode.TRAIN)
+        for alpha_max in (1.0, -0.1):
+            with pytest.raises(ValueError):
+                latent_mask(nn.make_rng(0), alpha_max, (2, 2, 2))
 
 
 class TestEncodeDecode:
@@ -139,45 +189,37 @@ class TestReconstructionLoss:
         assert reconstruction_loss(a, b) == pytest.approx(direct, rel=1e-12)
 
 
+def ragged_batch(seed, lengths, d):
+    """Padded (B, T, d) batch and its (B, T) valid-frame mask.
+
+    Pad frames hold noise, not zeros: with zero input and zero bias the
+    first PReLU would sit exactly on its kink, where finite differences
+    are meaningless.  The loss ignores pad frames either way.
+    """
+    x = nn.make_rng(seed).standard_normal((len(lengths), max(lengths), d))
+    valid = np.arange(x.shape[1]) < np.array(lengths)[:, None]
+    return x, valid
+
+
 class TestEndToEndGradients:
     def test_full_composition_matches_finite_differences(self):
         cfg = SarConfig(n_mels=4, fc_hidden=5, n_fc_enc=2, blstm_hidden=3,
                         n_blstm=2, latent_dim=4, dec_hidden=5, alpha_max=0.2)
         model = SarModel(cfg, seed=5).astype(np.float64)
-        rng = nn.make_rng(11)
-        x = rng.standard_normal((1, 3, 4))
-        target = rng.standard_normal((1, 3, 4))
-        mask = (rng.uniform(size=(1, 3, 4)) > 0.25).astype(np.float64) / 0.75
-        model.mask_layer.mask = mask
+        x, valid = ragged_batch(11, [3, 2], 4)
+        mask = latent_mask(nn.make_rng(12), 0.5, (2, 3, 4))
+        assert np.any(mask == 0)
 
         def loss():
-            z = model.encoder.forward(x)
-            zm = model.mask_layer.forward(z)
-            return nn.mse(model.decoder.forward(zm), target)
+            return nn.mse_with_grad(model.forward(x, mask), x, valid)[0]
 
         model.zero_grads()
-        z = model.encoder.forward(x)
-        zm = model.mask_layer.forward(z)
-        pred = model.decoder.forward(zm)
-        _, dpred = nn.mse_with_grad(pred, target)
-        dz = model.decoder.backward(dpred)
-        model.encoder.backward(model.mask_layer.backward(dz))
+        _, dpred = nn.mse_with_grad(model.forward(x, mask), x, valid)
+        model.backward(dpred, mask)
         grads = model.named_grads()
         params = model.named_params()
-        step = 1e-5
         for name, p in params.items():
-            num = np.zeros_like(p)
-            it = np.nditer(p, flags=["multi_index"])
-            while not it.finished:
-                i = it.multi_index
-                orig = p[i]
-                p[i] = orig + step
-                hi = loss()
-                p[i] = orig - step
-                lo = loss()
-                p[i] = orig
-                num[i] = (hi - lo) / (2 * step)
-                it.iternext()
+            num = numeric_grad(loss, p)
             denom = np.maximum(np.abs(num), 1e-6)
             rel = np.max(np.abs(grads[name] - num) / denom)
             assert rel < 1e-4, "tensor %s rel err %g" % (name, rel)
@@ -207,6 +249,21 @@ class TestTraining:
         assert len(h1.epochs) <= 5
         assert h1.epochs == h2.epochs
 
+    def test_golden_history(self):
+        """Training numerics, pinned: ragged batches of 2 with alpha_max 0.2."""
+        mels = [tiny_mel(i, t=6 + i % 3) for i in range(4)]
+        cfg = TrainConfig(batch_size=2, lr=1e-3, max_epochs=5, patience=5,
+                          seed=3, alpha_max=0.2)
+        _, hist = train_autoencoder(mels[:3], mels[3:], cfg, TOY)
+        golden = [
+            (0, 0.9202219418116978, 1.002968668937683),
+            (1, 0.9167872014499846, 0.9998993277549744),
+            (2, 0.9117287596066793, 0.9965327978134155),
+            (3, 0.9082711338996887, 0.9931301474571228),
+            (4, 0.9086875319480896, 0.9898178577423096),
+        ]
+        np.testing.assert_allclose(np.array(hist.epochs), golden, rtol=1e-6)
+
     def test_empty_dataset(self):
         with pytest.raises(ValueError):
             train_autoencoder([], [tiny_mel()], TrainConfig(), TOY)
@@ -234,6 +291,11 @@ class TestCheckpoint:
         assert set(a) == set(b)
         for k in a:
             assert np.array_equal(a[k], b[k])
+
+    def test_records_trained_alpha_max(self, quick_checkpoints):
+        # both were built from one SarConfig with alpha_max 0.2
+        assert load_checkpoint(quick_checkpoints["ae"]).config.alpha_max == 0.0
+        assert load_checkpoint(quick_checkpoints["sar"]).config.alpha_max == 0.2
 
     def test_truncated(self, tmp_path):
         model = SarModel(TOY, seed=7)

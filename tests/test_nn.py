@@ -4,7 +4,6 @@ import pytest
 from sarlab.nn import (
     Adam,
     Bilstm,
-    FixedMask,
     Linear,
     Lstm,
     PRelu,
@@ -44,8 +43,8 @@ def check_model_grads(model, x, target, rtol=1e-4):
     _, dpred = mse_with_grad(pred, target)
     dx = model.backward(dpred)
     analytic = dict(model.named_grads())
-    for name, layer, key in list(model._walk()):
-        num = numeric_grad(loss, layer.params[key])
+    for name, p in model.named_params().items():
+        num = numeric_grad(loss, p)
         a = analytic[name]
         denom = np.maximum(np.abs(num), 1e-6)
         assert np.max(np.abs(a - num) / denom) < rtol, "tensor %s" % name
@@ -185,17 +184,14 @@ class TestLstm:
 class TestComposite:
     def test_deep_stack_gradients(self):
         rng = make_rng(9)
-        mask_layer = FixedMask()
         model = Sequential([
             ("fc0", Linear(5, 4, rng=rng, dtype=np.float64)),
             ("act0", PRelu(4, dtype=np.float64)),
             ("blstm", Bilstm(4, 3, rng=rng, dtype=np.float64)),
             ("head", Linear(6, 4, rng=rng, dtype=np.float64)),
             ("tanh", Tanh()),
-            ("mask", mask_layer),
             ("dec", Linear(4, 5, rng=rng, dtype=np.float64)),
         ])
-        mask_layer.mask = (make_rng(10).uniform(size=(1, 4, 4)) > 0.3).astype(np.float64)
         x = rng.standard_normal((1, 4, 5))
         target = rng.standard_normal((1, 4, 5))
         check_model_grads(model, x, target)
