@@ -170,9 +170,10 @@ def evaluate_system(system: EvalSystem, cspec: CorruptionSpec, utterances,
     first_clip = read_wav(utterances[0][1])
     if stft_cfg is None:
         stft_cfg = StftConfig.for_rate(first_clip.sample_rate)
-    if bank is None:
-        bank = mel_filterbank(first_clip.sample_rate, stft_cfg.fft_size, 80)
     model = load_checkpoint(system.checkpoint) if system.kind != "mel" else None
+    if bank is None:
+        n_mels = model.config.n_mels if model is not None else 80
+        bank = mel_filterbank(first_clip.sample_rate, stft_cfg.fft_size, n_mels)
 
     def run_chunk(chunk):
         # layers cache forward state, so each worker owns a model copy

@@ -248,8 +248,10 @@ def train_autoencoder(train_set, val_set, cfg: TrainConfig,
 
     Per step: `latent_mask` (one alpha draw per sequence), masked-frame-aware
     MSE, global-norm gradient clip, Adam.  Validation runs unmasked; early
-    stopping tracks it.  The model's config records `cfg.alpha_max`, the
-    ratio it was trained with, whatever `sar_cfg.alpha_max` says.
+    stopping tracks it.  A non-finite loss, or an epoch in which Adam
+    skipped every step, raises RuntimeError.  The model's config records
+    `cfg.alpha_max`, the ratio it was trained with, whatever
+    `sar_cfg.alpha_max` says.
     """
     if not train_set or not val_set:
         raise ValueError("train and validation sets must be non-empty")
@@ -266,6 +268,7 @@ def train_autoencoder(train_set, val_set, cfg: TrainConfig,
         order = rng.permutation(len(train_frames)).tolist()
         epoch_loss = 0.0
         epoch_n = 0
+        steps = skipped = 0
         for batch_idx in _batches(order, train_frames, cfg.batch_size):
             x, valid = _pad_batch([train_frames[j] for j in batch_idx])
             mask = latent_mask(rng, cfg.alpha_max,
@@ -280,11 +283,16 @@ def train_autoencoder(train_set, val_set, cfg: TrainConfig,
             model.backward(dpred, mask)
             grads = model.named_grads()
             nn.clip_global_norm(grads, cfg.grad_clip)
-            opt.step(model.named_params(), grads)
+            steps += 1
+            skipped += not opt.step(model.named_params(), grads)
             model.step += 1
             n = int(valid.sum())
             epoch_loss += loss * n
             epoch_n += n
+        if skipped == steps:
+            raise RuntimeError(
+                "every optimizer step of epoch %d was skipped (non-finite "
+                "gradients); aborting" % epoch)
         train_loss = epoch_loss / epoch_n
         val_loss = _validation_loss(model, val_frames)
         history.epochs.append((epoch, train_loss, val_loss))
@@ -355,5 +363,7 @@ def load_checkpoint(path) -> SarModel:
         missing = set(expected) - set(flat)
         if missing:
             raise ValueError("checkpoint missing tensors: %s" % sorted(missing))
+        if f.read(1):
+            raise ValueError("corrupt checkpoint: trailing bytes in %s" % path)
     model.set_params(flat)
     return model

@@ -1,17 +1,53 @@
 """Minimal trainable layers with hand-written reverse-mode gradients.
 
 All layers operate on batched sequences shaped (B, T, D).  Each layer caches
-what its backward pass needs during forward; backward(dy) returns dx and
-accumulates parameter gradients in `self.grads`.  Training runs in float32;
-float64 is used for gradient checking.
+what its backward pass needs during forward; backward(dy), once per forward,
+returns dx and accumulates parameter gradients in `self.grads`.  Training
+runs in float32; float64 is used for gradient checking.
 """
 
 import logging
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 from scipy.special import expit
 
 log = logging.getLogger(__name__)
+
+# The one worker thread that runs each Bilstm's reverse direction, made on
+# first use.  A forked child has none of its parent's threads, so it starts
+# afresh.
+_worker = None
+_worker_lock = threading.Lock()
+
+
+def _forget_worker():
+    global _worker, _worker_lock
+    _worker, _worker_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _concurrently(main, side):
+    """(main(), side()), with `side` run on the worker thread meanwhile.
+
+    numpy, scipy's ufuncs and BLAS release the GIL, so the two overlap.
+    Both have finished before either's exception propagates.
+    """
+    global _worker
+    with _worker_lock:
+        if _worker is None:
+            _worker = ThreadPoolExecutor(max_workers=1,
+                                         thread_name_prefix="sarlab-bilstm")
+        future = _worker.submit(side)
+    try:
+        out = main()
+    finally:
+        wait([future])
+    return out, future.result()
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -150,8 +186,9 @@ class Lstm(Layer):
         self.zero_grads()
 
     @staticmethod
-    def _sigmoid(x):
-        return expit(x)
+    def _gate_views(gates, H):
+        """i, f, g, o: views of a (B, T, 4H) gate buffer."""
+        return (gates[..., k * H:(k + 1) * H] for k in range(4))
 
     def forward(self, x):
         if x.shape[-1] != self.params["wx"].shape[0]:
@@ -163,39 +200,40 @@ class Lstm(Layer):
         B, T, _ = x.shape
         H = self.hidden
         wx, wh, b = self.params["wx"], self.params["wh"], self.params["b"]
-        pre = x @ wx + b  # (B, T, 4H)
-        i = np.empty((B, T, H), dtype=x.dtype)
-        f = np.empty_like(i)
-        g = np.empty_like(i)
-        o = np.empty_like(i)
-        c = np.empty_like(i)
-        tc = np.empty_like(i)
-        h = np.empty_like(i)
+        # gate pre-activations; step t overwrites its slice with the gates
+        gates = x @ wx + b  # (B, T, 4H)
+        i, f, g, o = self._gate_views(gates, H)
+        c = np.empty((B, T, H), dtype=x.dtype)
+        tc = np.empty_like(c)
+        h = np.empty_like(c)
         h_prev = np.zeros((B, H), dtype=x.dtype)
         c_prev = np.zeros((B, H), dtype=x.dtype)
         for t in range(T):
-            a = pre[:, t] + h_prev @ wh
-            i[:, t] = self._sigmoid(a[:, :H])
-            f[:, t] = self._sigmoid(a[:, H:2 * H])
-            g[:, t] = np.tanh(a[:, 2 * H:3 * H])
-            o[:, t] = self._sigmoid(a[:, 3 * H:])
+            a = gates[:, t]
+            a += h_prev @ wh
+            expit(a[:, :2 * H], out=a[:, :2 * H])  # i, f
+            np.tanh(a[:, 2 * H:3 * H], out=a[:, 2 * H:3 * H])
+            expit(a[:, 3 * H:], out=a[:, 3 * H:])
             c[:, t] = f[:, t] * c_prev + i[:, t] * g[:, t]
             tc[:, t] = np.tanh(c[:, t])
             h[:, t] = o[:, t] * tc[:, t]
             h_prev = h[:, t]
             c_prev = c[:, t]
-        self._cache = (x, i, f, g, o, c, tc, h)
+        self._cache = (x, gates, c, tc, h)
         if self.reverse:
             return h[:, ::-1]
         return h
 
     def backward(self, dy):
-        x, i, f, g, o, c, tc, h = self._cache
+        x, gates, c, tc, h = self._cache
+        self._cache = None
         if self.reverse:
             dy = dy[:, ::-1]
-        B, T, H = i.shape
+        B, T, H = c.shape
+        i, f, g, o = self._gate_views(gates, H)
         wx, wh = self.params["wx"], self.params["wh"]
-        da = np.empty((B, T, 4 * H), dtype=x.dtype)
+        # step t's gate gradients overwrite its gates, read for the last time
+        da = gates
         dh_next = np.zeros((B, H), dtype=x.dtype)
         dc_next = np.zeros((B, H), dtype=x.dtype)
         for t in range(T - 1, -1, -1):
@@ -206,12 +244,12 @@ class Lstm(Layer):
             di = dc * g[:, t]
             df = dc * c_prev
             dg = dc * i[:, t]
+            dc_next = dc * f[:, t]
             da[:, t, :H] = di * i[:, t] * (1 - i[:, t])
             da[:, t, H:2 * H] = df * f[:, t] * (1 - f[:, t])
             da[:, t, 2 * H:3 * H] = dg * (1 - g[:, t] ** 2)
             da[:, t, 3 * H:] = do * o[:, t] * (1 - o[:, t])
             dh_next = da[:, t] @ wh.T
-            dc_next = dc * f[:, t]
         self.grads["wx"] += np.tensordot(x, da, axes=([0, 1], [0, 1]))
         h_prev = np.concatenate([np.zeros((B, 1, H), dtype=x.dtype), h[:, :-1]], axis=1)
         self.grads["wh"] += np.tensordot(h_prev, da, axes=([0, 1], [0, 1]))
@@ -223,7 +261,12 @@ class Lstm(Layer):
 
 
 class Bilstm(Layer):
-    """Forward and backward LSTM over the same input; outputs concatenated."""
+    """Forward and backward LSTM over the same input; outputs concatenated.
+
+    The two directions share no state, so the reverse one runs on a worker
+    thread while the calling thread runs the forward one; each does exactly
+    the arithmetic it would do alone.
+    """
 
     def __init__(self, d_in, hidden, rng=None, dtype=np.float32):
         super().__init__()
@@ -235,11 +278,15 @@ class Bilstm(Layer):
         return [("fwd", self.fwd), ("bwd", self.bwd)]
 
     def forward(self, x):
-        return np.concatenate([self.fwd.forward(x), self.bwd.forward(x)], axis=-1)
+        h_fwd, h_bwd = _concurrently(lambda: self.fwd.forward(x),
+                                     lambda: self.bwd.forward(x))
+        return np.concatenate([h_fwd, h_bwd], axis=-1)
 
     def backward(self, dy):
         H = self.hidden
-        return self.fwd.backward(dy[..., :H]) + self.bwd.backward(dy[..., H:])
+        dx_fwd, dx_bwd = _concurrently(lambda: self.fwd.backward(dy[..., :H]),
+                                       lambda: self.bwd.backward(dy[..., H:]))
+        return dx_fwd + dx_bwd
 
 
 class Sequential(Layer):

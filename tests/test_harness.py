@@ -200,6 +200,20 @@ class TestExperiment:
         assert written == ["sar.ckpt", "sar_history.csv"]
         assert list(table.scores) == [("ae", "raw"), ("sar", "raw")]
 
+    def test_train_first_with_40_mel_bands(self, small_corpus, tmp_path):
+        # the AE/SAR cells need a mel bank as wide as the trained models
+        tiny = {"n_mels": 40, "fc_hidden": 8, "n_fc_enc": 1,
+                "blstm_hidden": 4, "n_blstm": 1, "latent_dim": 4,
+                "dec_hidden": 8}
+        cfg = toy_config(small_corpus, {}, tmp_path, train_first=True,
+                         train_limit=4, sar_config=tiny,
+                         train={"max_epochs": 1})
+        table = run_table_experiment(cfg)
+        assert len(table.scores) == 15
+        for cell in table.scores.values():
+            assert len(cell) == 2
+            assert all(-1.0 <= s <= 1.0 for s in cell.values())
+
     def test_mel_only_needs_no_checkpoint(self, small_corpus, tmp_path):
         cfg = toy_config(small_corpus, {}, tmp_path, systems=["mel"],
                          conditions=[{"kind": "none"}])

@@ -1,4 +1,8 @@
+import sys
+import tempfile
+import threading
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -158,6 +162,37 @@ class TestEncodeDecode:
         with pytest.raises(ValueError):
             model.encode(np.zeros((0, 5)))
 
+    def test_concurrent_encodes_match_sequential(self):
+        # more callers than cores, all sharing the one BLSTM worker thread
+        cfg = SarConfig(n_mels=5, fc_hidden=16, blstm_hidden=16, latent_dim=8,
+                        dec_hidden=8)
+        n = 4
+        models = [SarModel(cfg, seed=s) for s in range(n)]
+        mels = [nn.make_rng(20 + s).standard_normal((40, 5)) for s in range(n)]
+        want = [m.encode(x) for m, x in zip(models, mels)]
+        got = [[] for _ in range(n)]
+        start = threading.Barrier(n)
+
+        def run(k):
+            start.wait()
+            for _ in range(10):
+                got[k].append(models[k].encode(mels[k]))
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(n)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for k in range(n):
+            assert len(got[k]) == 10
+            assert all(np.array_equal(z, want[k]) for z in got[k])
+
     def test_decoder_frame_local(self):
         model = SarModel(TOY, seed=3)
         rng = nn.make_rng(9)
@@ -264,6 +299,36 @@ class TestTraining:
         ]
         np.testing.assert_allclose(np.array(hist.epochs), golden, rtol=1e-6)
 
+    def test_every_step_skipped_raises(self, monkeypatch):
+        real = SarModel.backward
+
+        def poisoned(self, dpred, mask):
+            real(self, dpred, mask)
+            self.decoder.layers[-1][1].grads["b"][0] = np.nan
+
+        monkeypatch.setattr(SarModel, "backward", poisoned)
+        mels = [tiny_mel(i) for i in range(5)]
+        cfg = TrainConfig(batch_size=2, max_epochs=3, seed=1)
+        with pytest.raises(RuntimeError, match="every optimizer step of epoch 0"):
+            train_autoencoder(mels[:4], mels[4:], cfg, TOY)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_some_steps_skipped_trains_on(self, monkeypatch):
+        real = SarModel.backward
+        calls = []
+
+        def poison_first(self, dpred, mask):
+            real(self, dpred, mask)
+            calls.append(1)
+            if len(calls) == 1:
+                self.decoder.layers[-1][1].grads["b"][0] = np.inf
+
+        monkeypatch.setattr(SarModel, "backward", poison_first)
+        mels = [tiny_mel(i) for i in range(5)]
+        cfg = TrainConfig(batch_size=2, max_epochs=1, seed=1)
+        _, hist = train_autoencoder(mels[:4], mels[4:], cfg, TOY)
+        assert len(calls) == 2 and len(hist.epochs) == 1
+
     def test_empty_dataset(self):
         with pytest.raises(ValueError):
             train_autoencoder([], [tiny_mel()], TrainConfig(), TOY)
@@ -324,3 +389,38 @@ class TestCheckpoint:
         name = meta["tensors"][0][0]
         with pytest.raises(ValueError, match=name.replace(".", r"\.")):
             load_checkpoint(tmp_path / "x.ckpt")
+
+
+# one of every tensor kind, as few bytes as a checkpoint can have
+TINY = SarConfig(n_mels=2, fc_hidden=1, n_fc_enc=1, blstm_hidden=1,
+                 n_blstm=1, latent_dim=1, dec_hidden=1)
+
+
+@pytest.fixture(scope="module")
+def tiny_ckpt(tmp_path_factory):
+    path = tmp_path_factory.mktemp("tiny") / "m.ckpt"
+    save_checkpoint(SarModel(TINY, seed=9), path)
+    return path.read_bytes()
+
+
+def load_bytes(raw):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "x.ckpt"
+        path.write_bytes(raw)
+        return load_checkpoint(path)
+
+
+class TestCheckpointStrictness:
+    def test_intact_file_loads(self, tiny_ckpt):
+        assert load_bytes(tiny_ckpt).config == TINY
+
+    def test_every_truncation_rejected(self, tiny_ckpt):
+        for cut in range(len(tiny_ckpt)):
+            with pytest.raises(ValueError):
+                load_bytes(tiny_ckpt[:cut])
+
+    @given(extra=st.binary(min_size=1, max_size=64))
+    @settings(max_examples=50, deadline=None)
+    def test_appended_bytes_rejected(self, tiny_ckpt, extra):
+        with pytest.raises(ValueError, match="trailing bytes"):
+            load_bytes(tiny_ckpt + extra)

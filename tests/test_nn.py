@@ -1,3 +1,8 @@
+import copy
+import os
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -179,6 +184,85 @@ class TestLstm:
         x = rng.standard_normal((1, 4, 3))
         target = rng.standard_normal((1, 4, 4))
         check_model_grads(model, x, target)
+
+
+def c5_blstm_case(seed=0):
+    """A criterion-5 second BLSTM (256 in, 128 hidden), float32, batch 64x75."""
+    rng = make_rng(seed)
+    layer = Bilstm(256, 128, rng=rng)
+    x = rng.standard_normal((64, 75, 256)).astype(np.float32)
+    dy = rng.standard_normal((64, 75, 256)).astype(np.float32)
+    return layer, x, dy
+
+
+class TestBilstmConcurrency:
+    def test_same_bits_as_one_direction_after_the_other(self):
+        layer, x, dy = c5_blstm_case()
+        seq = copy.deepcopy(layer)
+        y = layer.forward(x)
+        layer.zero_grads()
+        dx = layer.backward(dy)
+        y_seq = np.concatenate([seq.fwd.forward(x), seq.bwd.forward(x)], axis=-1)
+        seq.zero_grads()
+        dx_seq = seq.fwd.backward(dy[..., :128]) + seq.bwd.backward(dy[..., 128:])
+        assert np.array_equal(y, y_seq)
+        assert np.array_equal(dx, dx_seq)
+        got, want = layer.named_grads(), seq.named_grads()
+        assert list(got) == ["fwd.wx", "fwd.wh", "fwd.b", "bwd.wx", "bwd.wh", "bwd.b"]
+        for k in got:
+            assert np.array_equal(got[k], want[k]), k
+
+    @pytest.mark.parametrize("failing", ["fwd", "bwd"])
+    @pytest.mark.parametrize("method", ["forward", "backward"])
+    def test_failure_in_either_direction_joins_the_other(self, failing, method):
+        rng = make_rng(1)
+        layer = Bilstm(3, 2, rng=rng)
+        x = rng.standard_normal((2, 4, 3)).astype(np.float32)
+        layer.forward(x)
+        other = "bwd" if failing == "fwd" else "fwd"
+        finished = threading.Event()
+
+        def boom(*args):
+            raise RuntimeError("%s failed" % failing)
+
+        def slow(*args):
+            time.sleep(0.2)
+            finished.set()
+            return np.zeros((2, 4, 3 if method == "backward" else 2), np.float32)
+
+        setattr(getattr(layer, failing), method, boom)
+        setattr(getattr(layer, other), method, slow)
+        arg = x if method == "forward" else np.ones((2, 4, 4), np.float32)
+        with pytest.raises(RuntimeError, match="%s failed" % failing):
+            getattr(layer, method)(arg)
+        assert finished.is_set()
+        # the worker is idle again and still serves the next layer
+        fresh = Bilstm(3, 2, rng=make_rng(2))
+        y = fresh.forward(x)
+        assert np.array_equal(y[..., 2:], fresh.bwd.forward(x))
+
+    def test_worker_runs_after_fork(self):
+        layer, x, _ = c5_blstm_case(3)
+        x = x[:2, :10]
+        want = layer.forward(x)  # the parent's worker now exists
+        pid = os.fork()
+        if pid == 0:  # the child must never return into pytest
+            code = 1
+            try:
+                code = 0 if np.array_equal(layer.forward(x), want) else 1
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            if time.monotonic() > deadline:
+                os.kill(pid, 9)
+                os.waitpid(pid, 0)
+                pytest.fail("forked child hung in Bilstm.forward")
+            time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(status) == 0
 
 
 class TestComposite:
