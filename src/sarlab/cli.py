@@ -110,8 +110,12 @@ def cmd_synth(args) -> int:
                       mel_filterbank, mel_spectrogram, read_wav, write_wav)
     if bool(args.mel) == bool(args.wav):
         raise UsageError("provide exactly one of --mel or --wav")
-    if args.via in ("ae", "sar") and not args.ckpt:
-        raise UsageError("--via %s requires --ckpt" % args.via)
+    model = None
+    if args.via in ("ae", "sar"):
+        if not args.ckpt:
+            raise UsageError("--via %s requires --ckpt" % args.via)
+        from .model import load_checkpoint
+        model = load_checkpoint(args.ckpt)
     if args.mel:
         mel = load_mel(args.mel)
         cfg = StftConfig(fft_size=args.fft_size, hop=mel.hop)
@@ -119,11 +123,10 @@ def cmd_synth(args) -> int:
     else:
         clip = read_wav(args.wav)
         cfg = StftConfig.for_rate(clip.sample_rate, args.fft_size)
-        bank = mel_filterbank(clip.sample_rate, args.fft_size, 80)
+        n_mels = model.config.n_mels if model is not None else 80
+        bank = mel_filterbank(clip.sample_rate, args.fft_size, n_mels)
         mel = mel_spectrogram(clip, cfg, bank)
-    if args.via in ("ae", "sar"):
-        from .model import load_checkpoint
-        model = load_checkpoint(args.ckpt)
+    if model is not None:
         frames = model.decode(model.encode(mel))
         mel = MelSpectrogram(frames, mel.sample_rate, mel.hop)
     out = griffin_lim(mel, cfg, bank, iterations=args.gl_iterations)

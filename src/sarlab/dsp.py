@@ -146,8 +146,12 @@ def wav_duration(path) -> float:
             cid, size = struct.unpack("<4sI", hdr)
             if cid == b"fmt ":
                 fmt = f.read(size + (size & 1))
+                if size < 16 or len(fmt) < 16:
+                    raise ValueError("short fmt chunk in %s" % path)
                 _, channels, rate, _, block_align, _ = struct.unpack(
                     "<HHIIHH", fmt[:16])
+                if rate == 0 or block_align == 0:
+                    raise ValueError("zero sample rate or block align in %s" % path)
             elif cid == b"data":
                 if rate is None:
                     raise ValueError("data chunk before fmt in %s" % path)
@@ -320,7 +324,9 @@ def griffin_lim(mel: MelSpectrogram, config: StftConfig, bank: MelFilterBank,
 
     Deterministic: zero-phase init, no momentum.  The feature frames are
     mapped onto a hop = fft/4 synthesis grid by nearest-frame lookup, since
-    overlap-add inversion needs that hop for full window coverage.
+    overlap-add inversion needs that hop for full window coverage.  At every
+    rate the output spans the T feature frames' T - 1 hops, within one
+    feature hop of the analysed clip.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
@@ -328,9 +334,10 @@ def griffin_lim(mel: MelSpectrogram, config: StftConfig, bank: MelFilterBank,
         raise ValueError("empty mel spectrogram")
     mag = mel_to_linear(mel, bank)  # (T, n_bins) on the feature grid
     synth_hop = config.fft_size // 4
+    t_feat = mag.shape[0]
+    span = (t_feat - 1) * mel.hop
     if mel.hop != synth_hop:
-        t_feat = mag.shape[0]
-        t_synth = max(1, int(round(t_feat * mel.hop / synth_hop)))
+        t_synth = 1 + math.ceil(span / synth_hop)
         idx = np.clip(np.round(np.arange(t_synth) * synth_hop / mel.hop).astype(int),
                       0, t_feat - 1)
         mag = mag[idx]
@@ -348,7 +355,7 @@ def griffin_lim(mel: MelSpectrogram, config: StftConfig, bank: MelFilterBank,
                                 / max(np.linalg.norm(target), 1e-12)))
         spec = target * est / np.maximum(est_mag, 1e-12)
     x = istft(ComplexSpectrogram(spec, synth_cfg)).samples
-    clip = AudioClip(x, mel.sample_rate)
+    clip = AudioClip(x[:span] if span else x, mel.sample_rate)
     if return_errors:
         return clip, errors
     return clip
@@ -376,5 +383,7 @@ def load_mel(path) -> MelSpectrogram:
         raw = f.read(4 * t * d)
         if len(raw) != 4 * t * d:
             raise ValueError("truncated SARMEL1 file: %s" % path)
+        if f.read(1):
+            raise ValueError("trailing bytes after SARMEL1 frames: %s" % path)
         frames = np.frombuffer(raw, dtype="<f4").reshape(t, d).astype(np.float64)
     return MelSpectrogram(frames, rate, hop)

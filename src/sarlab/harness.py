@@ -8,6 +8,7 @@ against the ground-truth waveform.
 
 import copy
 import csv
+import functools
 import hashlib
 import json
 import logging
@@ -140,60 +141,55 @@ def derive_seed(base_seed: int, system: str, condition: str, utt_id: str) -> int
     return int.from_bytes(digest[:8], "little")
 
 
-def _evaluate_utterance(system: EvalSystem, model, cspec: CorruptionSpec,
-                        wav_path: str, utt_id: str, base_seed: int,
-                        stft_cfg: StftConfig, bank, gl_iterations: int) -> float:
-    clip = read_wav(wav_path)
-    seed = derive_seed(base_seed, system.kind, cspec.label, utt_id)
-    local = replace(cspec, seed=seed)
-    audio = corrupt(clip, local) if local.kind == "band_limit" else clip
-    mel = mel_spectrogram(audio, stft_cfg, bank)
-    feature_kind = local.kind in ("mask", "white_noise")
-    if system.kind == "mel":
-        frames = corrupt(mel.frames, local) if feature_kind else mel.frames
-        cond = MelSpectrogram(frames, clip.sample_rate, stft_cfg.hop)
-    else:
-        z = model.encode(mel)
-        if feature_kind:
-            z = corrupt(z, local)
-        cond = MelSpectrogram(model.decode(z), clip.sample_rate, stft_cfg.hop)
-    synth = griffin_lim(cond, stft_cfg, bank, iterations=gl_iterations)
-    return estoi(clip, synth)
+def evaluate_system(system: EvalSystem, conditions, utterances,
+                    base_seed: int = 1337, gl_iterations: int = 60,
+                    threads: int = 1) -> dict:
+    """{condition label: {utt_id: ESTOI}} for `utterances`, [(utt_id, wav_path)].
 
-
-def evaluate_system(system: EvalSystem, cspec: CorruptionSpec, utterances,
-                    base_seed: int = 1337, stft_cfg: StftConfig | None = None,
-                    bank=None, gl_iterations: int = 60, threads: int = 1) -> list:
-    """Per-utterance ESTOI scores; `utterances` is [(utt_id, wav_path), ...]."""
+    Each WAV is read once; its mel (and AE/SAR latent) is computed once per
+    audio variant: the clean clip, or a band_limit condition's clip.
+    """
     if not utterances:
         raise ValueError("no utterances to evaluate")
-    first_clip = read_wav(utterances[0][1])
-    if stft_cfg is None:
-        stft_cfg = StftConfig.for_rate(first_clip.sample_rate)
     model = load_checkpoint(system.checkpoint) if system.kind != "mel" else None
-    if bank is None:
-        n_mels = model.config.n_mels if model is not None else 80
-        bank = mel_filterbank(first_clip.sample_rate, stft_cfg.fft_size, n_mels)
+    n_mels = model.config.n_mels if model is not None else 80
 
-    def run_chunk(chunk):
+    def run_shard(shard):
         # layers cache forward state, so each worker owns a model copy
-        local_model = copy.deepcopy(model) if model is not None else None
-        out = {}
-        for utt_id, path in chunk:
-            out[utt_id] = _evaluate_utterance(
-                system, local_model, cspec, path, utt_id, base_seed,
-                stft_cfg, bank, gl_iterations)
-        return out
+        local_model = copy.deepcopy(model)
+        scores = {}
+        for utt_id, path in shard:
+            clip = read_wav(path)
+            cfg, bank = _front_end(clip.sample_rate, n_mels)
+            features = {}  # band_limit label, or None for the clean clip
+            for cspec in conditions:
+                local = replace(cspec, seed=derive_seed(
+                    base_seed, system.kind, cspec.label, utt_id))
+                variant = local.label if local.kind == "band_limit" else None
+                if variant not in features:
+                    audio = clip if variant is None else corrupt(clip, local)
+                    frames = mel_spectrogram(audio, cfg, bank).frames
+                    features[variant] = (frames if local_model is None
+                                         else local_model.encode(frames))
+                feats = features[variant]
+                if local.kind in ("mask", "white_noise"):
+                    feats = corrupt(feats, local)
+                if local_model is not None:
+                    feats = local_model.decode(feats)
+                synth = griffin_lim(MelSpectrogram(feats, clip.sample_rate, cfg.hop),
+                                    cfg, bank, iterations=gl_iterations)
+                scores[cspec.label, utt_id] = estoi(clip, synth)
+        return scores
 
     if threads <= 1:
-        results = run_chunk(utterances)
+        scores = run_shard(utterances)
     else:
-        chunks = [utterances[i::threads] for i in range(threads)]
-        results = {}
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for part in pool.map(run_chunk, [c for c in chunks if c]):
-                results.update(part)
-    return [results[utt_id] for utt_id, _ in utterances]
+        n = min(threads, len(utterances))
+        with ThreadPoolExecutor(max_workers=n) as pool:
+            parts = pool.map(run_shard, [utterances[i::n] for i in range(n)])
+            scores = {k: v for part in parts for k, v in part.items()}
+    return {c.label: {utt_id: scores[c.label, utt_id] for utt_id, _ in utterances}
+            for c in conditions}
 
 
 def default_threads() -> int:
@@ -203,19 +199,24 @@ def default_threads() -> int:
     return max(1, os.cpu_count() or 1)
 
 
+@functools.lru_cache(maxsize=8)
+def _front_end(sample_rate: int, n_mels: int):
+    """The (StftConfig, MelFilterBank) of training and evaluation features.
+
+    Every caller shares the result, so the bank's weights are read-only.
+    """
+    cfg = StftConfig.for_rate(sample_rate)
+    bank = mel_filterbank(sample_rate, cfg.fft_size, n_mels)
+    bank.weights.flags.writeable = False
+    return cfg, bank
+
+
 def load_mels(manifest: Manifest, ids, n_mels: int = 80) -> list:
     """Extract log-mel frame matrices for the given utterance ids."""
-    cache = {}
     mels = []
     for utt_id in ids:
-        entry = manifest.by_id(utt_id)
-        clip = read_wav(entry.path)
-        key = clip.sample_rate
-        if key not in cache:
-            cfg = StftConfig.for_rate(clip.sample_rate)
-            cache[key] = (cfg, mel_filterbank(clip.sample_rate,
-                                              cfg.fft_size, n_mels))
-        cfg, bank = cache[key]
+        clip = read_wav(manifest.by_id(utt_id).path)
+        cfg, bank = _front_end(clip.sample_rate, n_mels)
         mels.append(mel_spectrogram(clip, cfg, bank).frames)
     return mels
 
@@ -294,13 +295,11 @@ def run_table_experiment(config, train_first: bool = False) -> ReportTable:
         },
     )
     for system in systems:
-        for cond in conditions:
-            log.info("evaluating %s / %s", system.kind, cond.label)
-            scores = evaluate_system(
-                system, cond, utterances, base_seed=base_seed,
-                gl_iterations=gl_iterations, threads=threads)
-            table.scores[(system.kind, cond.label)] = {
-                utt_id: score for (utt_id, _), score in zip(utterances, scores)}
+        log.info("evaluating %s", system.kind)
+        cells = evaluate_system(system, conditions, utterances, base_seed,
+                                gl_iterations, threads)
+        for label, cell in cells.items():
+            table.scores[(system.kind, label)] = cell
     return table
 
 

@@ -136,6 +136,23 @@ class TestSynth:
         assert -1.0 <= estoi(*synth) <= 1.0
 
 
+    def test_via_ae_checkpoint_with_40_mel_bands(self, two_second_wav, tmp_path):
+        # the WAV's mel must be as wide as the checkpoint's input
+        from sarlab.model import SarConfig, SarModel, save_checkpoint
+        ckpt = tmp_path / "m40.ckpt"
+        save_checkpoint(SarModel(SarConfig(n_mels=40, fc_hidden=8, n_fc_enc=1,
+                                           blstm_hidden=4, n_blstm=1,
+                                           latent_dim=4, dec_hidden=8), seed=3),
+                        ckpt)
+        out = tmp_path / "ae40.wav"
+        rc = main(["synth", "--wav", str(two_second_wav), "--via", "ae",
+                   "--ckpt", str(ckpt), "--out", str(out),
+                   "--gl-iterations", "4"])
+        assert rc == 0
+        ref, synth = read_wav(two_second_wav), read_wav(out)
+        assert abs(len(synth) - len(ref)) <= 256
+
+
 class TestEstoiCmd:
     def test_self_score(self, two_second_wav, capsys):
         rc = main(["estoi", "--ref", str(two_second_wav),

@@ -1,12 +1,16 @@
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sarlab.dsp import (
     AudioClip,
     ComplexSpectrogram,
     MEL_FLOOR,
+    MelSpectrogram,
     StftConfig,
     feature_hop,
     filter_centers,
@@ -326,6 +330,53 @@ class TestMel:
             load_mel(tmp_path / "t.mel")
 
 
+def load_mel_bytes(raw):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "x.mel"
+        path.write_bytes(raw)
+        return load_mel(path)
+
+
+def mel_bytes(frames, sample_rate=16000, hop=256):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "x.mel"
+        save_mel(MelSpectrogram(frames, sample_rate, hop), path)
+        return path.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def tiny_mel():
+    return mel_bytes(np.arange(6, dtype=np.float64).reshape(3, 2) - 2.5)
+
+
+class TestMelFileStrictness:
+    def test_intact_file_loads(self, tiny_mel):
+        mel = load_mel_bytes(tiny_mel)
+        assert mel.frames.shape == (3, 2) and mel.hop == 256
+
+    def test_every_truncation_rejected(self, tiny_mel):
+        for cut in range(len(tiny_mel)):
+            with pytest.raises(ValueError):
+                load_mel_bytes(tiny_mel[:cut])
+
+    @given(extra=st.binary(min_size=1, max_size=64))
+    @settings(max_examples=50, deadline=None)
+    def test_appended_bytes_rejected(self, tiny_mel, extra):
+        with pytest.raises(ValueError, match="trailing bytes"):
+            load_mel_bytes(tiny_mel + extra)
+
+    @given(t=st.integers(0, 6), d=st.integers(1, 4), data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_round_trip_exact_in_float32(self, t, d, data):
+        values = data.draw(st.lists(
+            st.floats(width=32, allow_nan=False, allow_infinity=False),
+            min_size=t * d, max_size=t * d))
+        frames = np.array(values, dtype=np.float64).reshape(t, d)
+        back = load_mel_bytes(mel_bytes(frames, 8000, 128))
+        assert (back.sample_rate, back.hop) == (8000, 128)
+        assert np.array_equal(back.frames, frames)
+
+
 # ---------------------------------------------------------------------------
 # Griffin-Lim
 
@@ -366,3 +417,16 @@ class TestGriffinLim:
         mel = MelSpectrogram(np.zeros((0, 80)), 16000, 256)
         with pytest.raises(ValueError):
             griffin_lim(mel, self.cfg, self.bank)
+
+    def test_output_spans_the_clip_at_other_rates(self):
+        # the synthesis hop is fft/4 = 256 samples; where the 16 ms feature
+        # hop differs, the output must still be within one feature hop of
+        # the analysed clip, or ESTOI rejects the pair
+        for rate in (8000, 22050):
+            cfg = StftConfig.for_rate(rate)
+            bank = mel_filterbank(rate, cfg.fft_size, 80)
+            for n in range(7200, 7200 + 2 * cfg.hop, 17):
+                mel = mel_spectrogram(noise_clip(sr=rate, n=n), cfg, bank)
+                out = griffin_lim(mel, cfg, bank, iterations=1)
+                assert len(out) == (mel.n_frames - 1) * cfg.hop
+                assert 0 <= n - len(out) < feature_hop(rate), (rate, n)

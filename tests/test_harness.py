@@ -1,10 +1,14 @@
 import json
+import struct
+from dataclasses import replace
 
 import pytest
 
-from sarlab.corruption import CorruptionSpec
-from sarlab.dsp import StftConfig, griffin_lim, mel_filterbank, mel_spectrogram, read_wav, write_wav
+from sarlab.corruption import CorruptionSpec, corrupt
+from sarlab.dsp import (MelSpectrogram, StftConfig, griffin_lim, mel_filterbank,
+                        mel_spectrogram, read_wav, write_wav)
 from sarlab.harness import (
+    DEFAULT_CONDITIONS,
     EvalSystem,
     build_manifest,
     derive_seed,
@@ -15,8 +19,15 @@ from sarlab.harness import (
     split_dataset,
 )
 from sarlab.metrics import estoi
+from sarlab.model import load_checkpoint
 from sarlab.nn import make_rng
 from sarlab.speechlike import speechlike_utterance
+
+
+def write_riff(path, fmt, data=b"\0\0" * 800):
+    body = (b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+            + b"\0" * (len(fmt) & 1) + b"data" + struct.pack("<I", len(data)) + data)
+    path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
 
 
 class TestManifest:
@@ -54,10 +65,19 @@ class TestManifest:
         write_wav(speechlike_utterance(make_rng(3), duration=0.5),
                   tmp_path / "good.wav")
         (tmp_path / "bad.wav").write_bytes(b"not a riff file")
+        # fmt chunks that cannot give a duration: too short, zero rate,
+        # zero block_align
+        write_riff(tmp_path / "short_fmt.wav", struct.pack("<HHI", 1, 1, 16000))
+        write_riff(tmp_path / "zero_rate.wav",
+                   struct.pack("<HHIIHH", 1, 1, 0, 0, 2, 16))
+        write_riff(tmp_path / "zero_align.wav",
+                   struct.pack("<HHIIHH", 1, 1, 16000, 32000, 0, 16))
         with caplog.at_level("WARNING"):
             m = build_manifest(tmp_path)
         assert [e.utt_id for e in m.entries] == ["good"]
-        assert any("skipping" in r.message for r in caplog.records)
+        skipped = [r.getMessage() for r in caplog.records
+                   if "skipping" in r.getMessage()]
+        assert len(skipped) == 4
 
 
 class TestSplit:
@@ -108,49 +128,127 @@ class TestDeriveSeed:
         assert 0 <= s < 2 ** 64
 
 
+GRID_CONDITIONS = DEFAULT_CONDITIONS + [{"kind": "band_limit",
+                                         "intermediate_rate": 8000}]
+
+
+def single_cell(system, cspec, utt_id, path, base_seed, gl_iterations):
+    """One cell the direct way: read, [band_limit], mel, [encode], corrupt,
+    [decode], Griffin-Lim, ESTOI."""
+    clip = read_wav(path)
+    local = replace(cspec, seed=derive_seed(base_seed, system.kind,
+                                            cspec.label, utt_id))
+    model = load_checkpoint(system.checkpoint) if system.checkpoint else None
+    n_mels = model.config.n_mels if model is not None else 80
+    cfg = StftConfig.for_rate(clip.sample_rate)
+    bank = mel_filterbank(clip.sample_rate, cfg.fft_size, n_mels)
+    audio = corrupt(clip, local) if local.kind == "band_limit" else clip
+    feats = mel_spectrogram(audio, cfg, bank).frames
+    if model is not None:
+        feats = model.encode(feats)
+    if local.kind in ("mask", "white_noise"):
+        feats = corrupt(feats, local)
+    if model is not None:
+        feats = model.decode(feats)
+    synth = griffin_lim(MelSpectrogram(feats, clip.sample_rate, cfg.hop), cfg,
+                        bank, iterations=gl_iterations)
+    return estoi(clip, synth)
+
+
 class TestEvaluateSystem:
     def test_mel_raw_matches_direct_pipeline(self, small_corpus):
         m = build_manifest(small_corpus)
         entry = m.entries[0]
         utts = [(entry.utt_id, entry.path)]
-        scores = evaluate_system(EvalSystem("mel"), CorruptionSpec(kind="none"),
-                                 utts, gl_iterations=12)
+        cells = evaluate_system(EvalSystem("mel"), [CorruptionSpec(kind="none")],
+                                utts, gl_iterations=12)
+        assert list(cells) == ["raw"] and list(cells["raw"]) == [entry.utt_id]
         clip = read_wav(entry.path)
         cfg = StftConfig.for_rate(clip.sample_rate)
         bank = mel_filterbank(clip.sample_rate, cfg.fft_size, 80)
         synth = griffin_lim(mel_spectrogram(clip, cfg, bank), cfg, bank,
                             iterations=12)
-        assert scores[0] == pytest.approx(estoi(clip, synth), abs=1e-9)
+        assert cells["raw"][entry.utt_id] == pytest.approx(estoi(clip, synth),
+                                                           abs=1e-9)
+
+    def test_grid_equals_single_cell_pipeline(self, small_corpus,
+                                              quick_checkpoints):
+        # every system x condition, band_limit included, against the
+        # pipeline run one cell at a time
+        entry = build_manifest(small_corpus).entries[0]
+        utts = [(entry.utt_id, entry.path)]
+        conditions = [CorruptionSpec.from_dict(d) for d in GRID_CONDITIONS]
+        for system in (EvalSystem("mel"),
+                       EvalSystem("ae", quick_checkpoints["ae"]),
+                       EvalSystem("sar", quick_checkpoints["sar"])):
+            cells = evaluate_system(system, conditions, utts, base_seed=5,
+                                    gl_iterations=6)
+            assert list(cells) == [c.label for c in conditions]
+            for cspec in conditions:
+                want = single_cell(system, cspec, entry.utt_id, entry.path, 5, 6)
+                assert cells[cspec.label] == {entry.utt_id: want}, \
+                    (system.kind, cspec.label)
 
     def test_mask_zero_equals_raw(self, small_corpus):
         m = build_manifest(small_corpus)
         utts = [(e.utt_id, e.path) for e in m.entries[:2]]
-        raw = evaluate_system(EvalSystem("mel"), CorruptionSpec(kind="none"),
-                              utts, gl_iterations=8)
-        masked = evaluate_system(EvalSystem("mel"),
-                                 CorruptionSpec(kind="mask", alpha=0.0),
-                                 utts, gl_iterations=8)
+        cells = evaluate_system(EvalSystem("mel"),
+                                [CorruptionSpec(kind="none"),
+                                 CorruptionSpec(kind="mask", alpha=0.0)],
+                                utts, gl_iterations=8)
+        raw, masked = list(cells["raw"].values()), list(cells["mask_0"].values())
+        assert len(raw) == 2
         assert raw == pytest.approx(masked, abs=1e-9)
 
     def test_score_per_utterance(self, small_corpus, quick_checkpoints):
         m = build_manifest(small_corpus)
         utts = [(e.utt_id, e.path) for e in m.entries[:3]]
-        scores = evaluate_system(EvalSystem("sar", quick_checkpoints["sar"]),
-                                 CorruptionSpec(kind="mask", alpha=0.1),
-                                 utts, gl_iterations=8)
-        assert len(scores) == 3
+        cells = evaluate_system(EvalSystem("sar", quick_checkpoints["sar"]),
+                                [CorruptionSpec(kind="mask", alpha=0.1)],
+                                utts, gl_iterations=8)
+        scores = cells["mask_0.1"]
+        assert list(scores) == [u for u, _ in utts]
         # correlation-based score: can dip below zero for bad synthesis
-        assert all(-1.0 <= s <= 1.0 for s in scores)
+        assert all(-1.0 <= s <= 1.0 for s in scores.values())
 
-    def test_threads_match_single(self, small_corpus):
+    def test_threads_match_single(self, small_corpus, quick_checkpoints):
         m = build_manifest(small_corpus)
         utts = [(e.utt_id, e.path) for e in m.entries[:4]]
-        cspec = CorruptionSpec(kind="white_noise", snr_db=15.0)
-        one = evaluate_system(EvalSystem("mel"), cspec, utts, gl_iterations=8,
-                              threads=1)
-        many = evaluate_system(EvalSystem("mel"), cspec, utts, gl_iterations=8,
-                               threads=3)
-        assert one == pytest.approx(many, abs=1e-12)
+        conditions = [CorruptionSpec(kind="white_noise", snr_db=15.0),
+                      CorruptionSpec(kind="mask", alpha=0.2)]
+        for system in (EvalSystem("mel"),
+                       EvalSystem("ae", quick_checkpoints["ae"])):
+            one = evaluate_system(system, conditions, utts, gl_iterations=8,
+                                  threads=1)
+            many = evaluate_system(system, conditions, utts, gl_iterations=8,
+                                   threads=3)
+            assert one == many
+            assert [list(c) for c in many.values()] == [[u for u, _ in utts]] * 2
+
+    def test_mixed_sample_rates(self, tmp_path, quick_checkpoints):
+        # each clip gets the mel bank of its own rate, as in training
+        utts = []
+        for rate in (16000, 22050):
+            path = tmp_path / ("u%d.wav" % rate)
+            write_wav(speechlike_utterance(make_rng(4), sample_rate=rate,
+                                           duration=1.0), path)
+            utts.append(("u%d" % rate, str(path)))
+        conditions = [CorruptionSpec(kind="none"),
+                      CorruptionSpec(kind="white_noise", snr_db=10.0)]
+        for system in (EvalSystem("mel"),
+                       EvalSystem("sar", quick_checkpoints["sar"])):
+            cells = evaluate_system(system, conditions, utts, gl_iterations=6)
+            for cell in cells.values():
+                assert list(cell) == ["u16000", "u22050"]
+                assert all(-1.0 <= s <= 1.0 for s in cell.values())
+
+    def test_mel_cell_at_8_khz(self, tmp_path):
+        path = tmp_path / "u8k.wav"
+        write_wav(speechlike_utterance(make_rng(5), sample_rate=8000,
+                                       duration=0.9), path)
+        cells = evaluate_system(EvalSystem("mel"), [CorruptionSpec(kind="none")],
+                                [("u8k", str(path))], gl_iterations=12)
+        assert 0.3 < cells["raw"]["u8k"] <= 1.0
 
 
 def toy_config(corpus, checkpoints, out_dir, **extra):
