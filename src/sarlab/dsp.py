@@ -5,11 +5,16 @@ amplitude-normalized to [-1, 1].  Mel features are natural-log magnitudes
 with a hard floor so silence maps to a finite value.
 """
 
+import functools
 import math
+import os
+import secrets
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.io import wavfile
 from scipy.signal import firwin, get_window, resample_poly
 
@@ -84,6 +89,13 @@ class MelFilterBank:
     sample_rate: int = 0
     fft_size: int = 0
 
+    @functools.cached_property
+    def pinv(self) -> np.ndarray:
+        """(n_bins, n_mels) pseudo-inverse of `weights`, computed once."""
+        pinv = np.linalg.pinv(self.weights)
+        pinv.flags.writeable = False
+        return pinv
+
 
 @dataclass
 class MelSpectrogram:
@@ -101,6 +113,30 @@ class MelSpectrogram:
     @property
     def n_mels(self) -> int:
         return self.frames.shape[1]
+
+
+# ---------------------------------------------------------------------------
+# File writing
+
+@contextmanager
+def atomic_write(path, mode: str = "w", **kwargs):
+    """Open a new file beside `path` for writing; on success, replace `path`.
+
+    Readers see the old file or the whole new one, never a partial write.
+    If the writer raises, the old file is left as it was and the new one is
+    removed.  The file is created as `open` would create it (mode 0666 less
+    the umask).
+    """
+    path = os.fspath(path)
+    tmp = "%s.%s.tmp" % (path, secrets.token_hex(4))
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, mode, **kwargs) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +164,8 @@ def write_wav(clip: AudioClip, path) -> None:
         raise ValueError("cannot write an empty clip")
     q = np.round(clip.samples * 32768.0)
     q = np.clip(q, -32768, 32767).astype(np.int16)
-    wavfile.write(path, clip.sample_rate, q)
+    with atomic_write(path, "wb") as f:
+        wavfile.write(f, clip.sample_rate, q)
 
 
 def wav_duration(path) -> float:
@@ -185,8 +222,73 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
 # ---------------------------------------------------------------------------
 # STFT / ISTFT
 
-def _window(config: StftConfig) -> np.ndarray:
-    return get_window(config.window, config.fft_size, fftbins=True)
+@functools.lru_cache(maxsize=8)
+def _window(window: str, fft_size: int) -> np.ndarray:
+    win = get_window(window, fft_size, fftbins=True)
+    win.flags.writeable = False
+    return win
+
+
+def overlap_add(chunks: np.ndarray, hop: int) -> np.ndarray:
+    """Sum rows of `chunks` placed `hop` samples apart.
+
+    Each output sample adds its rows in ascending row order, as a loop of
+    ``y[t*hop:t*hop+n] += chunks[t]`` over ``t`` does, so the result has the
+    loop's bits.  Rows are cut into ceil(n/hop) hop-long blocks (zero-padded;
+    adding +0.0 leaves a sum unchanged) and block j of every row is added in
+    one slice, for j from the last block down to the first.
+    """
+    n_rows, n = chunks.shape
+    k = -(-n // hop)
+    if k * hop != n:
+        chunks = np.pad(chunks, ((0, 0), (0, k * hop - n)))
+    blocks = chunks.reshape(n_rows, k, hop)
+    y = np.zeros((n_rows + k - 1, hop))
+    for j in range(k - 1, -1, -1):
+        y[j:j + n_rows] += blocks[:, j]
+    return y.reshape(-1)[:(n_rows - 1) * hop + n]
+
+
+class _Framing:
+    """Framing of `n_frames` centered STFT frames under one StftConfig.
+
+    Holds the window and the frame layout; the overlap-add normaliser that
+    synthesis divides by is built on the first synthesis, so analysis never
+    pays for it.  `stft` and `istft` build one per call; `griffin_lim` builds
+    one and reuses it for every iteration.
+    """
+
+    def __init__(self, config: StftConfig, n_frames: int):
+        self.config = config
+        self.n_frames = n_frames
+        self.window = _window(config.window, config.fft_size)
+
+    def analyse(self, x: np.ndarray) -> np.ndarray:
+        """(n_frames, n_bins) spectrum of unpadded samples `x`, whose length
+        must give n_frames centered frames."""
+        n_fft, hop = self.config.fft_size, self.config.hop
+        pad = n_fft // 2
+        xp = np.pad(x, pad, mode="reflect") if x.size > 1 else np.pad(x, pad)
+        frames = sliding_window_view(xp, n_fft)[::hop]
+        return np.fft.rfft(frames * self.window, n=n_fft, axis=1)
+
+    @functools.cached_property
+    def _normaliser(self):
+        win = self.window
+        wsum = overlap_add(np.broadcast_to(win * win, (self.n_frames, win.size)),
+                           self.config.hop)
+        return wsum, wsum > 1e-10
+
+    def synthesise(self, frames: np.ndarray) -> np.ndarray:
+        """Overlap-add inverse of `analyse`, center padding trimmed."""
+        n_fft = self.config.fft_size
+        chunks = np.fft.irfft(frames, n=n_fft, axis=1)
+        chunks *= self.window
+        y = overlap_add(chunks, self.config.hop)
+        wsum, good = self._normaliser
+        np.divide(y, wsum, out=y, where=good)
+        pad = n_fft // 2
+        return y[pad:y.size - pad] if y.size > 2 * pad else y
 
 
 def stft(clip_or_samples, config: StftConfig) -> ComplexSpectrogram:
@@ -197,14 +299,9 @@ def stft(clip_or_samples, config: StftConfig) -> ComplexSpectrogram:
         x = np.asarray(clip_or_samples, dtype=np.float64)
     if x.size == 0:
         raise ValueError("cannot STFT an empty clip")
-    n_fft, hop = config.fft_size, config.hop
-    pad = n_fft // 2
-    xp = np.pad(x, pad, mode="reflect") if x.size > 1 else np.pad(x, pad)
-    n_frames = 1 + (len(xp) - n_fft) // hop
-    win = _window(config)
-    idx = np.arange(n_fft)[None, :] + hop * np.arange(n_frames)[:, None]
-    frames = np.fft.rfft(xp[idx] * win, n=n_fft, axis=1)
-    return ComplexSpectrogram(frames, config)
+    pad = config.fft_size // 2
+    n_frames = 1 + (x.size + 2 * pad - config.fft_size) // config.hop
+    return ComplexSpectrogram(_Framing(config, n_frames).analyse(x), config)
 
 
 def istft(spec: ComplexSpectrogram) -> AudioClip:
@@ -216,24 +313,9 @@ def istft(spec: ComplexSpectrogram) -> AudioClip:
     frames = spec.frames
     if frames.size == 0:
         raise ValueError("cannot invert an empty spectrogram")
-    cfg = spec.config
-    n_fft, hop = cfg.fft_size, cfg.hop
-    win = _window(cfg)
-    n_frames = frames.shape[0]
-    total = (n_frames - 1) * hop + n_fft
-    y = np.zeros(total)
-    wsum = np.zeros(total)
-    chunks = np.fft.irfft(frames, n=n_fft, axis=1) * win
-    for t in range(n_frames):
-        s = t * hop
-        y[s:s + n_fft] += chunks[t]
-        wsum[s:s + n_fft] += win * win
-    good = wsum > 1e-10
-    y[good] /= wsum[good]
-    pad = n_fft // 2
-    out = y[pad:total - pad] if total > 2 * pad else y
+    out = _Framing(spec.config, frames.shape[0]).synthesise(frames)
     # sample rate is not carried by the spectrogram; caller re-attaches it
-    return AudioClip(out, 1) if out.size else AudioClip(np.zeros(1), 1)
+    return AudioClip(out, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -314,12 +396,11 @@ def mel_spectrogram(clip: AudioClip, config: StftConfig,
 def mel_to_linear(mel: MelSpectrogram, bank: MelFilterBank) -> np.ndarray:
     """Nonnegative least-squares-style magnitude estimate via pinv, clamped at 0."""
     amp = np.exp(mel.frames)  # (T, n_mels) linear mel magnitudes
-    pinv = np.linalg.pinv(bank.weights)  # (n_bins, n_mels)
-    return np.maximum(amp @ pinv.T, 0.0)  # (T, n_bins)
+    return np.maximum(amp @ bank.pinv.T, 0.0)  # (T, n_bins)
 
 
 def griffin_lim(mel: MelSpectrogram, config: StftConfig, bank: MelFilterBank,
-                iterations: int = 60, return_errors: bool = False):
+                iterations: int = 60) -> AudioClip:
     """Phase reconstruction from a log-mel spectrogram.
 
     Deterministic: zero-phase init, no momentum.  The feature frames are
@@ -330,35 +411,27 @@ def griffin_lim(mel: MelSpectrogram, config: StftConfig, bank: MelFilterBank,
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    if mel.frames.size == 0:
-        raise ValueError("empty mel spectrogram")
-    mag = mel_to_linear(mel, bank)  # (T, n_bins) on the feature grid
+    if mel.n_frames < 2:
+        raise ValueError("griffin_lim needs at least 2 mel frames, got %d"
+                         % mel.n_frames)
+    target = mel_to_linear(mel, bank)  # (T, n_bins) on the feature grid
     synth_hop = config.fft_size // 4
-    t_feat = mag.shape[0]
+    t_feat = target.shape[0]
     span = (t_feat - 1) * mel.hop
     if mel.hop != synth_hop:
         t_synth = 1 + math.ceil(span / synth_hop)
         idx = np.clip(np.round(np.arange(t_synth) * synth_hop / mel.hop).astype(int),
                       0, t_feat - 1)
-        mag = mag[idx]
-    synth_cfg = StftConfig(config.fft_size, synth_hop, config.window)
-    target = mag
+        target = target[idx]
+    framing = _Framing(StftConfig(config.fft_size, synth_hop, config.window),
+                       target.shape[0])
     spec = target.astype(np.complex128)  # zero phase
-    errors = []
-    x = None
     for _ in range(iterations):
-        x = istft(ComplexSpectrogram(spec, synth_cfg)).samples
-        est = stft(x, synth_cfg).frames
+        est = framing.analyse(framing.synthesise(spec))
         est_mag = np.abs(est)
-        if return_errors:
-            errors.append(float(np.linalg.norm(est_mag - target)
-                                / max(np.linalg.norm(target), 1e-12)))
-        spec = target * est / np.maximum(est_mag, 1e-12)
-    x = istft(ComplexSpectrogram(spec, synth_cfg)).samples
-    clip = AudioClip(x[:span] if span else x, mel.sample_rate)
-    if return_errors:
-        return clip, errors
-    return clip
+        np.multiply(target, est, out=est)
+        spec = np.divide(est, np.maximum(est_mag, 1e-12), out=est)
+    return AudioClip(framing.synthesise(spec)[:span], mel.sample_rate)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +441,7 @@ def save_mel(mel: MelSpectrogram, path) -> None:
     """SARMEL1 file: ASCII header line + row-major little-endian float32."""
     t, d = mel.frames.shape
     header = "SARMEL1 %d %d %d %d\n" % (t, d, mel.sample_rate, mel.hop)
-    with open(path, "wb") as f:
+    with atomic_write(path, "wb") as f:
         f.write(header.encode("ascii"))
         f.write(mel.frames.astype("<f4").tobytes())
 

@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .corruption import CorruptionSpec, corrupt
-from .dsp import (MelSpectrogram, StftConfig, griffin_lim, mel_filterbank,
-                  mel_spectrogram, read_wav, wav_duration)
+from .dsp import (MelSpectrogram, StftConfig, atomic_write, griffin_lim,
+                  mel_filterbank, mel_spectrogram, read_wav, wav_duration)
 from .metrics import estoi
 from .model import (SarConfig, TrainConfig, load_checkpoint, save_checkpoint,
                     train_autoencoder)
@@ -313,7 +313,7 @@ def emit_report(table: ReportTable, out_dir, formats=("csv", "json")) -> dict:
     written = {}
     if "csv" in formats:
         path = out_dir / "report.csv"
-        with open(path, "w", newline="") as f:
+        with atomic_write(path, "w", newline="") as f:
             w = csv.writer(f)
             w.writerow(["system", "condition", "mean", "std", "n"])
             for system in table.systems:
@@ -332,7 +332,7 @@ def emit_report(table: ReportTable, out_dir, formats=("csv", "json")) -> dict:
                 for key, cell in sorted(table.scores.items())
             },
         }
-        with open(path, "w") as f:
+        with atomic_write(path, "w") as f:
             json.dump(payload, f, indent=1, sort_keys=True)
         written["json"] = str(path)
     return written

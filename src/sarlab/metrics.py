@@ -12,7 +12,7 @@ import math
 import numpy as np
 from scipy.signal import get_window
 
-from .dsp import AudioClip, MelSpectrogram, resample
+from .dsp import AudioClip, MelSpectrogram, overlap_add, resample
 
 ESTOI_RATE = 10000
 FRAME_LEN = 256
@@ -36,33 +36,23 @@ def _strip_digital_silence(ref: np.ndarray, deg: np.ndarray):
     return ref[nz[0]:nz[-1] + 1], deg[nz[0]:nz[-1] + 1]
 
 
-def _frame(x: np.ndarray, win: np.ndarray):
+def _frame(x: np.ndarray):
     n = 1 + (len(x) - FRAME_LEN) // FRAME_HOP
     idx = np.arange(FRAME_LEN)[None, :] + FRAME_HOP * np.arange(n)[:, None]
-    return x[idx] * win
+    return x[idx] * _WINDOW
 
 
 def _remove_silent_frames(ref: np.ndarray, deg: np.ndarray):
     """Overlap-add back only the frames whose reference energy is in range."""
-    win = get_window("hann", FRAME_LEN, fftbins=True)
     if len(ref) < FRAME_LEN:
         raise ValueError("too short for silence removal")
-    rf = _frame(ref, win)
-    df = _frame(deg, win)
+    rf = _frame(ref)
+    df = _frame(deg)
     energy_db = 20 * np.log10(np.linalg.norm(rf, axis=1) + NORM_EPS)
     keep = energy_db > energy_db.max() - DYN_RANGE_DB
     if not np.any(keep):
         raise ValueError("reference is all-silent")
-    rf, df = rf[keep], df[keep]
-    n = rf.shape[0]
-    out_len = (n - 1) * FRAME_HOP + FRAME_LEN
-    r = np.zeros(out_len)
-    d = np.zeros(out_len)
-    for i in range(n):
-        s = i * FRAME_HOP
-        r[s:s + FRAME_LEN] += rf[i]
-        d[s:s + FRAME_LEN] += df[i]
-    return r, d
+    return overlap_add(rf[keep], FRAME_HOP), overlap_add(df[keep], FRAME_HOP)
 
 
 def _third_octave_matrix():
@@ -75,14 +65,20 @@ def _third_octave_matrix():
         a = int(np.argmin(np.abs(freqs - lo[k])))
         b = int(np.argmin(np.abs(freqs - hi[k])))
         mat[k, a:b] = 1.0
+    mat.flags.writeable = False
     return mat
 
 
-def _band_spectrogram(x: np.ndarray, band_mat: np.ndarray):
-    win = get_window("hann", FRAME_LEN, fftbins=True)
-    frames = _frame(x, win)
+# read-only constants, built once
+_WINDOW = get_window("hann", FRAME_LEN, fftbins=True)
+_WINDOW.flags.writeable = False
+_BAND_MATRIX = _third_octave_matrix()
+
+
+def _band_spectrogram(x: np.ndarray):
+    frames = _frame(x)
     spec = np.abs(np.fft.rfft(frames, n=FFT_LEN, axis=1)) ** 2  # (T, bins)
-    return np.sqrt(spec @ band_mat.T).T  # (bands, T)
+    return np.sqrt(spec @ _BAND_MATRIX.T).T  # (bands, T)
 
 
 def _normalize_rows_then_cols(seg: np.ndarray):
@@ -111,9 +107,8 @@ def estoi(reference: AudioClip, degraded: AudioClip) -> float:
         ref = resample(AudioClip(ref, sr), ESTOI_RATE).samples
         deg = resample(AudioClip(deg, sr), ESTOI_RATE).samples
     ref, deg = _remove_silent_frames(ref, deg)
-    band_mat = _third_octave_matrix()
-    x = _band_spectrogram(ref, band_mat)  # (15, T)
-    y = _band_spectrogram(deg, band_mat)
+    x = _band_spectrogram(ref)  # (15, T)
+    y = _band_spectrogram(deg)
     t_frames = x.shape[1]
     if t_frames < SEG_LEN:
         raise ValueError("too short: %d analysis frames, need %d"

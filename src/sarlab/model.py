@@ -16,7 +16,7 @@ from dataclasses import dataclass, asdict, field, replace
 import numpy as np
 
 from . import nn
-from .dsp import MelSpectrogram
+from .dsp import MelSpectrogram, atomic_write
 
 CKPT_MAGIC = b"SARCKPT1"
 
@@ -195,7 +195,7 @@ class TrainingHistory:
     seed: int = 0
 
     def save_csv(self, path):
-        with open(path, "w", newline="") as f:
+        with atomic_write(path, "w", newline="") as f:
             w = csv.writer(f)
             w.writerow(["epoch", "train_loss", "val_loss", "alpha_max", "seed"])
             for epoch, tr, va in self.epochs:
@@ -323,7 +323,7 @@ def save_checkpoint(model: SarModel, path) -> None:
         "tensors": [[n, list(params[n].shape)] for n in names],
     }
     blob = json.dumps(meta).encode("utf-8")
-    with open(path, "wb") as f:
+    with atomic_write(path, "wb") as f:
         f.write(CKPT_MAGIC)
         f.write(struct.pack("<I", len(blob)))
         f.write(blob)

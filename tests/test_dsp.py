@@ -12,6 +12,7 @@ from sarlab.dsp import (
     MEL_FLOOR,
     MelSpectrogram,
     StftConfig,
+    atomic_write,
     feature_hop,
     filter_centers,
     griffin_lim,
@@ -21,6 +22,8 @@ from sarlab.dsp import (
     mel_filterbank,
     mel_spectrogram,
     mel_to_hz,
+    mel_to_linear,
+    overlap_add,
     read_wav,
     resample,
     save_mel,
@@ -400,11 +403,25 @@ class TestGriffinLim:
         assert np.sqrt(np.mean(out.samples ** 2)) < 1e-3
 
     def test_convergence_non_increasing(self):
+        # the spectral error after k iterations, measured from outside: at
+        # 16 kHz the feature hop is the synthesis hop, so |stft(output)| is
+        # the magnitude the (k+1)-th iteration starts from
         mel = mel_spectrogram(noise_clip(n=6000), self.cfg, self.bank)
-        _, errs = griffin_lim(mel, self.cfg, self.bank, iterations=30,
-                              return_errors=True)
+        target = mel_to_linear(mel, self.bank)
+        x0 = istft(ComplexSpectrogram(target.astype(complex), self.cfg)).samples
+        errs = []
+        for k in range(31):
+            x = x0 if k == 0 else griffin_lim(mel, self.cfg, self.bank,
+                                              iterations=k).samples
+            est_mag = np.abs(stft(x, self.cfg).frames)
+            errs.append(np.linalg.norm(est_mag - target) / np.linalg.norm(target))
         diffs = np.diff(errs)
         assert np.all(diffs <= 1e-7)
+
+    def test_single_frame_rejected(self):
+        mel = MelSpectrogram(np.zeros((1, 80)), 16000, 256)
+        with pytest.raises(ValueError, match="at least 2"):
+            griffin_lim(mel, self.cfg, self.bank)
 
     def test_deterministic(self):
         mel = mel_spectrogram(tone(700), self.cfg, self.bank)
@@ -430,3 +447,170 @@ class TestGriffinLim:
                 out = griffin_lim(mel, cfg, bank, iterations=1)
                 assert len(out) == (mel.n_frames - 1) * cfg.hop
                 assert 0 <= n - len(out) < feature_hop(rate), (rate, n)
+
+
+# ---------------------------------------------------------------------------
+# Reference implementations: the frame-by-frame loops the framing replaced.
+# The shared framing must reproduce them bit for bit.
+
+def ref_stft(x, config):
+    x = np.asarray(x, dtype=np.float64)
+    n_fft, hop = config.fft_size, config.hop
+    pad = n_fft // 2
+    xp = np.pad(x, pad, mode="reflect") if x.size > 1 else np.pad(x, pad)
+    n_frames = 1 + (len(xp) - n_fft) // hop
+    from scipy.signal import get_window
+    win = get_window(config.window, n_fft, fftbins=True)
+    idx = np.arange(n_fft)[None, :] + hop * np.arange(n_frames)[:, None]
+    return np.fft.rfft(xp[idx] * win, n=n_fft, axis=1)
+
+
+def ref_istft(frames, config):
+    n_fft, hop = config.fft_size, config.hop
+    from scipy.signal import get_window
+    win = get_window(config.window, n_fft, fftbins=True)
+    n_frames = frames.shape[0]
+    total = (n_frames - 1) * hop + n_fft
+    y = np.zeros(total)
+    wsum = np.zeros(total)
+    chunks = np.fft.irfft(frames, n=n_fft, axis=1) * win
+    for t in range(n_frames):
+        s = t * hop
+        y[s:s + n_fft] += chunks[t]
+        wsum[s:s + n_fft] += win * win
+    good = wsum > 1e-10
+    y[good] /= wsum[good]
+    pad = n_fft // 2
+    return y[pad:total - pad] if total > 2 * pad else y
+
+
+def ref_griffin_lim(mel, config, bank, iterations):
+    amp = np.exp(mel.frames)
+    mag = np.maximum(amp @ np.linalg.pinv(bank.weights).T, 0.0)
+    synth_hop = config.fft_size // 4
+    t_feat = mag.shape[0]
+    span = (t_feat - 1) * mel.hop
+    if mel.hop != synth_hop:
+        t_synth = 1 + int(np.ceil(span / synth_hop))
+        idx = np.clip(np.round(np.arange(t_synth) * synth_hop / mel.hop).astype(int),
+                      0, t_feat - 1)
+        mag = mag[idx]
+    synth_cfg = StftConfig(config.fft_size, synth_hop, config.window)
+    spec = mag.astype(np.complex128)
+    for _ in range(iterations):
+        x = ref_istft(spec, synth_cfg)
+        est = ref_stft(x, synth_cfg)
+        spec = mag * est / np.maximum(np.abs(est), 1e-12)
+    return ref_istft(spec, synth_cfg)[:span]
+
+
+def ref_overlap_add(chunks, hop):
+    n_rows, n = chunks.shape
+    y = np.zeros((n_rows - 1) * hop + n)
+    for t in range(n_rows):
+        y[t * hop:t * hop + n] += chunks[t]
+    return y
+
+
+def assert_same_as_reference(x, cfg):
+    spec = stft(x, cfg)
+    assert np.array_equal(spec.frames, ref_stft(x, cfg))
+    assert np.array_equal(istft(spec).samples, ref_istft(spec.frames, cfg))
+
+
+class TestFramingMatchesReference:
+    @pytest.mark.parametrize("rate", [8000, 16000, 22050])
+    def test_feature_rates(self, rate):
+        # 22.05 kHz has a 353-sample hop, which does not divide 1024
+        cfg = StftConfig.for_rate(rate)
+        bank = mel_filterbank(rate, cfg.fft_size, 80)
+        for n in (4000, rate + 7):
+            clip = noise_clip(seed=n, sr=rate, n=n)
+            assert_same_as_reference(clip.samples, cfg)
+            mel = mel_spectrogram(clip, cfg, bank)
+            expect = np.log(np.maximum(np.abs(ref_stft(clip.samples, cfg))
+                                       @ bank.weights.T, MEL_FLOOR))
+            assert np.array_equal(mel.frames, expect)
+            out = griffin_lim(mel, cfg, bank, iterations=4)
+            assert np.array_equal(out.samples, ref_griffin_lim(mel, cfg, bank, 4))
+
+    def test_hop_equals_fft_size(self):
+        assert_same_as_reference(noise_clip(n=5000).samples, StftConfig(512, 512))
+
+    def test_single_frame_istft(self):
+        cfg = StftConfig(1024, 256)
+        frames = np.fft.rfft(noise_clip(n=1024).samples)[None, :]
+        out = istft(ComplexSpectrogram(frames, cfg)).samples
+        assert np.array_equal(out, ref_istft(frames, cfg))
+        assert len(out) == 1024
+        assert_same_as_reference(np.array([0.25]), cfg)
+
+    @given(n=st.integers(1, 6000), hop=st.integers(16, 1024),
+           log_fft=st.integers(6, 10))
+    @settings(max_examples=60, deadline=None)
+    def test_any_length_and_hop(self, n, hop, log_fft):
+        fft_size = 2 ** log_fft
+        cfg = StftConfig(fft_size, min(hop, fft_size))
+        x = np.random.default_rng(n).uniform(-1, 1, n)
+        assert_same_as_reference(x, cfg)
+
+    @given(n=st.integers(3000, 12000), rate=st.sampled_from([8000, 16000, 22050]),
+           iterations=st.integers(1, 3))
+    @settings(max_examples=15, deadline=None)
+    def test_griffin_lim_any_length(self, n, rate, iterations):
+        cfg = StftConfig.for_rate(rate)
+        bank = mel_filterbank(rate, cfg.fft_size, 40)
+        mel = mel_spectrogram(noise_clip(seed=n, sr=rate, n=n), cfg, bank)
+        out = griffin_lim(mel, cfg, bank, iterations=iterations)
+        assert np.array_equal(out.samples,
+                              ref_griffin_lim(mel, cfg, bank, iterations))
+
+    @given(rows=st.integers(1, 40), n=st.integers(1, 300), hop=st.integers(1, 300))
+    @settings(max_examples=60, deadline=None)
+    def test_overlap_add_keeps_loop_order(self, rows, n, hop):
+        chunks = np.random.default_rng(rows * n).standard_normal((rows, n)) * 1e3
+        chunks[:, ::7] = -0.0  # signed zeros must come out as the loop's
+        assert np.array_equal(overlap_add(chunks, hop), ref_overlap_add(chunks, hop))
+        assert np.array_equal(np.signbit(overlap_add(chunks, hop)),
+                              np.signbit(ref_overlap_add(chunks, hop)))
+
+    def test_bank_pinv_cached(self):
+        bank = mel_filterbank(16000, 1024, 80)
+        assert np.array_equal(bank.pinv, np.linalg.pinv(bank.weights))
+        assert bank.pinv is bank.pinv
+        assert not bank.pinv.flags.writeable
+
+    def test_read_only_harness_bank_synthesizes(self):
+        from sarlab.harness import _front_end
+        cfg, bank = _front_end(16000, 80)
+        assert not bank.weights.flags.writeable
+        mel = mel_spectrogram(noise_clip(n=6000), cfg, bank)
+        out = griffin_lim(mel, cfg, bank, iterations=3)
+        assert np.array_equal(out.samples, ref_griffin_lim(mel, cfg, bank, 3))
+
+
+# ---------------------------------------------------------------------------
+# Atomic writes
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("mode, first, partial", [
+        ("w", "old text\n", "new "), ("wb", b"old bytes", b"new ")])
+    def test_failed_write_keeps_old_file(self, tmp_path, mode, first, partial):
+        path = tmp_path / "out"
+        with atomic_write(path, mode) as f:
+            f.write(first)
+        with pytest.raises(RuntimeError, match="mid-write"):
+            with atomic_write(path, mode) as f:
+                f.write(partial)
+                f.flush()
+                raise RuntimeError("mid-write")
+        assert path.read_bytes() == (first if mode == "wb" else first.encode())
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+    def test_replaces_whole_file(self, tmp_path):
+        path = tmp_path / "out"
+        path.write_text("a much longer old file\n")
+        with atomic_write(path) as f:
+            f.write("new\n")
+        assert path.read_text() == "new\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]

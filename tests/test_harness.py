@@ -2,14 +2,16 @@ import json
 import struct
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from sarlab.corruption import CorruptionSpec, corrupt
 from sarlab.dsp import (MelSpectrogram, StftConfig, griffin_lim, mel_filterbank,
-                        mel_spectrogram, read_wav, write_wav)
+                        mel_spectrogram, read_wav, save_mel, write_wav)
 from sarlab.harness import (
     DEFAULT_CONDITIONS,
     EvalSystem,
+    ReportTable,
     build_manifest,
     derive_seed,
     emit_report,
@@ -19,7 +21,8 @@ from sarlab.harness import (
     split_dataset,
 )
 from sarlab.metrics import estoi
-from sarlab.model import load_checkpoint
+from sarlab.model import (SarConfig, SarModel, TrainingHistory, load_checkpoint,
+                          save_checkpoint)
 from sarlab.nn import make_rng
 from sarlab.speechlike import speechlike_utterance
 
@@ -359,3 +362,67 @@ class TestReportIO:
         ja["metadata"].pop("checkpoints")
         jb["metadata"].pop("checkpoints")
         assert ja == jb
+
+
+# ---------------------------------------------------------------------------
+# Artefact writers replace their file atomically
+
+class Unwritable:
+    """Array stand-in whose bytes cannot be produced: the writer fails mid-file."""
+
+    def __init__(self, shape):
+        self.shape = shape
+
+    def astype(self, dtype):
+        raise RuntimeError("mid-write")
+
+
+def mel_writer(fail):
+    mel = MelSpectrogram(np.zeros((3, 2)), 16000, 256)
+    if fail:
+        mel.frames = Unwritable((3, 2))
+    return lambda path: save_mel(mel, path)
+
+
+def checkpoint_writer(fail):
+    model = SarModel(SarConfig(n_mels=4, fc_hidden=3, n_fc_enc=1, blstm_hidden=2,
+                               n_blstm=1, latent_dim=2, dec_hidden=3), seed=1)
+    if fail:
+        model.named_params = lambda: {"w": Unwritable((2,))}
+    return lambda path: save_checkpoint(model, path)
+
+
+def history_writer(fail):
+    last = "not a number" if fail else 0.25
+    history = TrainingHistory(epochs=[(1, 0.5, 0.4), (2, 0.3, last)])
+    return history.save_csv
+
+
+def report_writer(fmt, fail):
+    metadata = {"bad": object()} if fail and fmt == "json" else {}
+    score = "not a number" if fail and fmt == "csv" else 0.5
+    table = ReportTable(["mel"], ["raw"], {("mel", "raw"): {"u1": score}}, metadata)
+    return lambda path: emit_report(table, path.parent, formats=(fmt,))
+
+
+WRITERS = {
+    "save_mel": ("x.mel", mel_writer),
+    "save_checkpoint": ("x.ckpt", checkpoint_writer),
+    "save_csv": ("history.csv", history_writer),
+    "emit_report_csv": ("report.csv", lambda fail: report_writer("csv", fail)),
+    "emit_report_json": ("report.json", lambda fail: report_writer("json", fail)),
+}
+
+
+class TestAtomicArtefacts:
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_failed_rewrite_keeps_previous_file(self, tmp_path, writer):
+        name, make = WRITERS[writer]
+        path = tmp_path / name
+        make(fail=False)(path)
+        before = path.read_bytes()
+        assert before
+        with pytest.raises((RuntimeError, TypeError, ValueError)):
+            make(fail=True)(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [name]

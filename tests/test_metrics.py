@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sarlab.dsp import AudioClip, MelSpectrogram, StftConfig, mel_filterbank, mel_spectrogram
+from sarlab import metrics
 from sarlab.metrics import estoi, log_mel_distortion
 from sarlab.nn import make_rng
 from sarlab.speechlike import speechlike_utterance
@@ -93,6 +94,48 @@ class TestEstoi:
         way_off = AudioClip(clip.samples[:-4000], 16000)
         with pytest.raises(ValueError, match="length"):
             estoi(clip, way_off)
+
+
+def ref_remove_silent_frames(ref, deg):
+    """The frame-by-frame overlap-add that silence removal used to run."""
+    from scipy.signal import get_window
+    win = get_window("hann", metrics.FRAME_LEN, fftbins=True)
+    def frame(x):
+        n = 1 + (len(x) - metrics.FRAME_LEN) // metrics.FRAME_HOP
+        idx = (np.arange(metrics.FRAME_LEN)[None, :]
+               + metrics.FRAME_HOP * np.arange(n)[:, None])
+        return x[idx] * win
+    rf, df = frame(ref), frame(deg)
+    energy_db = 20 * np.log10(np.linalg.norm(rf, axis=1) + metrics.NORM_EPS)
+    keep = energy_db > energy_db.max() - metrics.DYN_RANGE_DB
+    rf, df = rf[keep], df[keep]
+    out_len = (rf.shape[0] - 1) * metrics.FRAME_HOP + metrics.FRAME_LEN
+    r, d = np.zeros(out_len), np.zeros(out_len)
+    for i in range(rf.shape[0]):
+        s = i * metrics.FRAME_HOP
+        r[s:s + metrics.FRAME_LEN] += rf[i]
+        d[s:s + metrics.FRAME_LEN] += df[i]
+    return r, d
+
+
+class TestEstoiInternals:
+    def test_silence_removal_matches_frame_loop(self):
+        clip = am_tones(7, sr=10000)
+        ref = clip.samples.copy()
+        ref[3000:6000] *= 1e-4  # frames 40 dB down are dropped
+        deg = with_noise(AudioClip(ref, 10000), 5, 1).samples
+        r, d = metrics._remove_silent_frames(ref, deg)
+        r0, d0 = ref_remove_silent_frames(ref, deg)
+        assert len(r) < len(ref)
+        assert np.array_equal(r, r0) and np.array_equal(d, d0)
+
+    def test_constants_built_once_and_read_only(self):
+        from scipy.signal import get_window
+        assert np.array_equal(metrics._WINDOW,
+                              get_window("hann", metrics.FRAME_LEN, fftbins=True))
+        assert np.array_equal(metrics._BAND_MATRIX, metrics._third_octave_matrix())
+        for const in (metrics._WINDOW, metrics._BAND_MATRIX):
+            assert not const.flags.writeable
 
 
 class TestLogMelDistortion:
