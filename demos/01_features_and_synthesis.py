@@ -10,8 +10,8 @@ from pathlib import Path
 
 import numpy as np
 
-from sarlab.dsp import (StftConfig, griffin_lim, mel_filterbank,
-                        mel_spectrogram, read_wav, save_mel, write_wav)
+from sarlab.dsp import griffin_lim, mel_spectrogram, read_wav, save_mel, write_wav
+from sarlab.harness import front_end
 from sarlab.metrics import estoi
 from sarlab.nn import make_rng
 from sarlab.speechlike import speechlike_utterance
@@ -24,8 +24,8 @@ write_wav(clip, out_dir / "original.wav")
 print("utterance: %.2f s at %d Hz" % (len(clip) / clip.sample_rate,
                                       clip.sample_rate))
 
-cfg = StftConfig.for_rate(clip.sample_rate)  # 1024-pt FFT, 16 ms hop
-bank = mel_filterbank(clip.sample_rate, cfg.fft_size, 80)
+# the one feature front end: 1024-pt FFT, 16 ms hop, 80 mel bands
+cfg, bank = front_end(clip.sample_rate, 80)
 mel = mel_spectrogram(clip, cfg, bank)
 save_mel(mel, out_dir / "original.mel")
 print("log-mel: %d frames x %d bands, range [%.2f, %.2f]"

@@ -28,29 +28,27 @@ def _load_spec_arg(value):
 
 
 def cmd_features(args) -> int:
-    from .dsp import (StftConfig, mel_filterbank, mel_spectrogram, read_wav,
-                      save_mel)
+    from .dsp import mel_spectrogram, read_wav, save_mel
+    from .harness import front_end
     src = Path(args.input)
     if not src.exists():
         raise UsageError("input not found: %s" % src)
     paths = sorted(src.rglob("*.wav")) if src.is_dir() else [src]
     if not paths:
         raise UsageError("no WAV files under %s" % src)
+    by_stem = {}
+    for path in paths:
+        by_stem.setdefault(path.stem, []).append(str(path))
+    clashes = [" and ".join(group) for group in by_stem.values() if len(group) > 1]
+    if clashes:
+        raise UsageError("WAV files would share a .mel file: %s" % "; ".join(clashes))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    banks = {}
-    count = 0
     for path in paths:
         clip = read_wav(path)
-        key = clip.sample_rate
-        if key not in banks:
-            cfg = StftConfig.for_rate(clip.sample_rate, args.fft_size)
-            banks[key] = (cfg, mel_filterbank(clip.sample_rate, args.fft_size,
-                                              args.n_mels))
-        cfg, bank = banks[key]
+        cfg, bank = front_end(clip.sample_rate, args.n_mels)
         save_mel(mel_spectrogram(clip, cfg, bank), out_dir / (path.stem + ".mel"))
-        count += 1
-    print("processed %d file(s)" % count)
+    print("processed %d file(s)" % len(paths))
     return 0
 
 
@@ -106,8 +104,9 @@ def cmd_corrupt(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    from .dsp import (MelSpectrogram, StftConfig, griffin_lim, load_mel,
-                      mel_filterbank, mel_spectrogram, read_wav, write_wav)
+    from .dsp import (MelSpectrogram, griffin_lim, load_mel, mel_spectrogram,
+                      read_wav, write_wav)
+    from .harness import front_end
     if bool(args.mel) == bool(args.wav):
         raise UsageError("provide exactly one of --mel or --wav")
     model = None
@@ -118,13 +117,14 @@ def cmd_synth(args) -> int:
         model = load_checkpoint(args.ckpt)
     if args.mel:
         mel = load_mel(args.mel)
-        cfg = StftConfig(fft_size=args.fft_size, hop=mel.hop)
-        bank = mel_filterbank(mel.sample_rate, args.fft_size, mel.n_mels)
+        cfg, bank = front_end(mel.sample_rate, mel.n_mels)
+        if mel.hop != cfg.hop:
+            raise UsageError("%s: hop %d is not the %d Hz feature hop %d"
+                             % (args.mel, mel.hop, mel.sample_rate, cfg.hop))
     else:
         clip = read_wav(args.wav)
-        cfg = StftConfig.for_rate(clip.sample_rate, args.fft_size)
         n_mels = model.config.n_mels if model is not None else 80
-        bank = mel_filterbank(clip.sample_rate, args.fft_size, n_mels)
+        cfg, bank = front_end(clip.sample_rate, n_mels)
         mel = mel_spectrogram(clip, cfg, bank)
     if model is not None:
         frames = model.decode(model.encode(mel))
@@ -172,7 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
     f = sub.add_parser("features", help="extract mel feature files")
     f.add_argument("--in", dest="input", required=True)
     f.add_argument("--out", required=True)
-    f.add_argument("--fft-size", type=int, default=1024)
     f.add_argument("--n-mels", type=int, default=80)
     f.set_defaults(func=cmd_features)
 
@@ -195,7 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--via", choices=["mel", "ae", "sar"], default="mel")
     s.add_argument("--ckpt", default=None)
     s.add_argument("--out", required=True)
-    s.add_argument("--fft-size", type=int, default=1024)
     s.add_argument("--gl-iterations", type=int, default=60)
     s.set_defaults(func=cmd_synth)
 

@@ -11,7 +11,7 @@ import os
 import secrets
 import struct
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -22,6 +22,8 @@ MEL_FLOOR = 1e-5
 LOG_MEL_FLOOR = math.log(MEL_FLOOR)
 
 MEL_MAGIC = b"SARMEL1"
+
+MAX_FEATURE_RATE = 384000
 
 
 @dataclass
@@ -55,9 +57,10 @@ def feature_hop(sample_rate: int) -> int:
 
 @dataclass
 class StftConfig:
+    """Hann-windowed STFT geometry."""
+
     fft_size: int = 1024
     hop: int = 256
-    window: str = "hann"
 
     def __post_init__(self):
         if self.fft_size <= 0 or self.fft_size & (self.fft_size - 1):
@@ -66,9 +69,14 @@ class StftConfig:
             raise ValueError("hop must satisfy 0 < hop <= fft_size")
 
     @classmethod
-    def for_rate(cls, sample_rate: int, fft_size: int = 1024) -> "StftConfig":
-        """Feature-extraction config: 16 ms hop at this rate."""
-        return cls(fft_size=fft_size, hop=feature_hop(sample_rate))
+    def for_rate(cls, sample_rate: int) -> "StftConfig":
+        """Feature-extraction config: 16 ms hop at this rate, 1024-point FFT,
+        or the smallest power of two that holds a longer hop (above 64 kHz)."""
+        if sample_rate > MAX_FEATURE_RATE:
+            raise ValueError("sample rate %d Hz is above the %d Hz feature limit"
+                             % (sample_rate, MAX_FEATURE_RATE))
+        hop = feature_hop(sample_rate)
+        return cls(fft_size=max(1024, 1 << (hop - 1).bit_length()), hop=hop)
 
     @property
     def n_bins(self) -> int:
@@ -84,10 +92,8 @@ class ComplexSpectrogram:
 @dataclass
 class MelFilterBank:
     weights: np.ndarray  # (n_mels, n_bins)
-    fmin: float
-    fmax: float
-    sample_rate: int = 0
-    fft_size: int = 0
+    sample_rate: int
+    fft_size: int
 
     @functools.cached_property
     def pinv(self) -> np.ndarray:
@@ -223,8 +229,8 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
 # STFT / ISTFT
 
 @functools.lru_cache(maxsize=8)
-def _window(window: str, fft_size: int) -> np.ndarray:
-    win = get_window(window, fft_size, fftbins=True)
+def _window(fft_size: int) -> np.ndarray:
+    win = get_window("hann", fft_size, fftbins=True)
     win.flags.writeable = False
     return win
 
@@ -261,7 +267,7 @@ class _Framing:
     def __init__(self, config: StftConfig, n_frames: int):
         self.config = config
         self.n_frames = n_frames
-        self.window = _window(config.window, config.fft_size)
+        self.window = _window(config.fft_size)
 
     def analyse(self, x: np.ndarray) -> np.ndarray:
         """(n_frames, n_bins) spectrum of unpadded samples `x`, whose length
@@ -343,18 +349,14 @@ def mel_to_hz(m):
     return np.where(above, _MIN_LOG_HZ * np.exp(_LOGSTEP * (m - _MIN_LOG_MEL)), f)
 
 
-def mel_filterbank(sample_rate: int, fft_size: int, n_mels: int = 80,
-                   fmin: float = 0.0, fmax: float | None = None) -> MelFilterBank:
-    """Triangular Slaney-style filters, area-normalized."""
-    if fmax is None:
-        fmax = sample_rate / 2.0
-    if not (0 <= fmin < fmax <= sample_rate / 2.0):
-        raise ValueError("invalid frequency range [%g, %g]" % (fmin, fmax))
+def mel_filterbank(sample_rate: int, fft_size: int, n_mels: int = 80) -> MelFilterBank:
+    """Triangular Slaney-style filters from 0 Hz to Nyquist, area-normalized."""
     if n_mels < 1:
         raise ValueError("n_mels must be >= 1")
     n_bins = fft_size // 2 + 1
     bin_freqs = np.arange(n_bins) * sample_rate / fft_size
-    pts = mel_to_hz(np.linspace(hz_to_mel(fmin), hz_to_mel(fmax), n_mels + 2))
+    pts = mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(sample_rate / 2.0),
+                                n_mels + 2))
     weights = np.zeros((n_mels, n_bins))
     for k in range(n_mels):
         lo, mid, hi = pts[k], pts[k + 1], pts[k + 2]
@@ -364,23 +366,16 @@ def mel_filterbank(sample_rate: int, fft_size: int, n_mels: int = 80,
         weights[k] = tri * (2.0 / (hi - lo))
     if not np.all(weights.max(axis=1) > 0):
         raise ValueError("filterbank has empty rows; increase fft_size or lower n_mels")
-    return MelFilterBank(weights, fmin, fmax, sample_rate, fft_size)
-
-
-def filter_centers(bank: MelFilterBank, n_mels: int | None = None) -> np.ndarray:
-    """Center frequencies (Hz) of each filter."""
-    n_mels = bank.weights.shape[0] if n_mels is None else n_mels
-    pts = mel_to_hz(np.linspace(hz_to_mel(bank.fmin), hz_to_mel(bank.fmax), n_mels + 2))
-    return pts[1:-1]
+    return MelFilterBank(weights, sample_rate, fft_size)
 
 
 def mel_spectrogram(clip: AudioClip, config: StftConfig,
                     bank: MelFilterBank) -> MelSpectrogram:
     """Log-mel magnitudes: log(max(bank @ |STFT|, floor))."""
-    if bank.fft_size and bank.fft_size != config.fft_size:
+    if bank.fft_size != config.fft_size:
         raise ValueError("filterbank fft_size %d != config fft_size %d"
                          % (bank.fft_size, config.fft_size))
-    if bank.sample_rate and bank.sample_rate != clip.sample_rate:
+    if bank.sample_rate != clip.sample_rate:
         raise ValueError("filterbank sample_rate %d != clip sample_rate %d"
                          % (bank.sample_rate, clip.sample_rate))
     spec = stft(clip, config)
@@ -423,8 +418,7 @@ def griffin_lim(mel: MelSpectrogram, config: StftConfig, bank: MelFilterBank,
         idx = np.clip(np.round(np.arange(t_synth) * synth_hop / mel.hop).astype(int),
                       0, t_feat - 1)
         target = target[idx]
-    framing = _Framing(StftConfig(config.fft_size, synth_hop, config.window),
-                       target.shape[0])
+    framing = _Framing(StftConfig(config.fft_size, synth_hop), target.shape[0])
     spec = target.astype(np.complex128)  # zero phase
     for _ in range(iterations):
         est = framing.analyse(framing.synthesise(spec))
@@ -440,6 +434,8 @@ def griffin_lim(mel: MelSpectrogram, config: StftConfig, bank: MelFilterBank,
 def save_mel(mel: MelSpectrogram, path) -> None:
     """SARMEL1 file: ASCII header line + row-major little-endian float32."""
     t, d = mel.frames.shape
+    if min(t, d, mel.sample_rate, mel.hop) < 1:
+        raise ValueError("SARMEL1 needs frames, bands, rate and hop >= 1")
     header = "SARMEL1 %d %d %d %d\n" % (t, d, mel.sample_rate, mel.hop)
     with atomic_write(path, "wb") as f:
         f.write(header.encode("ascii"))
@@ -448,14 +444,16 @@ def save_mel(mel: MelSpectrogram, path) -> None:
 
 def load_mel(path) -> MelSpectrogram:
     with open(path, "rb") as f:
-        header = f.readline()
-        parts = header.split()
+        parts = f.readline().split()
         if len(parts) != 5 or parts[0] != MEL_MAGIC:
             raise ValueError("not a SARMEL1 file: %s" % path)
         t, d, rate, hop = (int(p) for p in parts[1:])
-        raw = f.read(4 * t * d)
-        if len(raw) != 4 * t * d:
+        if min(t, d, rate, hop) < 1:
+            raise ValueError("SARMEL1 header values must be >= 1: %s" % path)
+        size = 4 * t * d
+        if size > os.fstat(f.fileno()).st_size - f.tell():
             raise ValueError("truncated SARMEL1 file: %s" % path)
+        raw = f.read(size)
         if f.read(1):
             raise ValueError("trailing bytes after SARMEL1 frames: %s" % path)
         frames = np.frombuffer(raw, dtype="<f4").reshape(t, d).astype(np.float64)

@@ -160,7 +160,7 @@ def evaluate_system(system: EvalSystem, conditions, utterances,
         scores = {}
         for utt_id, path in shard:
             clip = read_wav(path)
-            cfg, bank = _front_end(clip.sample_rate, n_mels)
+            cfg, bank = front_end(clip.sample_rate, n_mels)
             features = {}  # band_limit label, or None for the clean clip
             for cspec in conditions:
                 local = replace(cspec, seed=derive_seed(
@@ -200,8 +200,9 @@ def default_threads() -> int:
 
 
 @functools.lru_cache(maxsize=8)
-def _front_end(sample_rate: int, n_mels: int):
-    """The (StftConfig, MelFilterBank) of training and evaluation features.
+def front_end(sample_rate: int, n_mels: int):
+    """The (StftConfig, MelFilterBank) of every log-mel feature: training,
+    evaluation and the CLI's `.mel` files, whose header (rate, bands) picks it.
 
     Every caller shares the result, so the bank's weights are read-only.
     """
@@ -216,7 +217,7 @@ def load_mels(manifest: Manifest, ids, n_mels: int = 80) -> list:
     mels = []
     for utt_id in ids:
         clip = read_wav(manifest.by_id(utt_id).path)
-        cfg, bank = _front_end(clip.sample_rate, n_mels)
+        cfg, bank = front_end(clip.sample_rate, n_mels)
         mels.append(mel_spectrogram(clip, cfg, bank).frames)
     return mels
 

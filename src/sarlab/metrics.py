@@ -1,4 +1,4 @@
-"""Objective quality measures: ESTOI on waveform pairs, log-mel distortion.
+"""Objective intelligibility: ESTOI on waveform pairs.
 
 ESTOI follows the standard published definition: both signals are resampled
 to 10 kHz, silent reference frames (40 dB below the loudest) are removed from
@@ -7,12 +7,10 @@ both, a 256-sample Hann / 512-point STFT feeds 15 one-third-octave bands from
 correlation.  Higher is better; the score never exceeds 1.
 """
 
-import math
-
 import numpy as np
 from scipy.signal import get_window
 
-from .dsp import AudioClip, MelSpectrogram, overlap_add, resample
+from .dsp import AudioClip, overlap_add, resample
 
 ESTOI_RATE = 10000
 FRAME_LEN = 256
@@ -119,13 +117,3 @@ def estoi(reference: AudioClip, degraded: AudioClip) -> float:
         ys = _normalize_rows_then_cols(y[:, m - SEG_LEN:m])
         scores.append(float(np.sum(xs * ys)) / SEG_LEN)
     return float(np.mean(scores))
-
-
-def log_mel_distortion(ref, deg) -> float:
-    """Mel-cepstral-distance-style constant applied to log-mel RMS difference."""
-    a = ref.frames if isinstance(ref, MelSpectrogram) else np.asarray(ref)
-    b = deg.frames if isinstance(deg, MelSpectrogram) else np.asarray(deg)
-    if a.shape != b.shape:
-        raise ValueError("shape mismatch: %s vs %s" % (a.shape, b.shape))
-    rms = np.sqrt(np.mean((a - b) ** 2))
-    return float(10.0 / math.log(10.0) * math.sqrt(2.0) * rms)

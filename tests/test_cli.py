@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from sarlab.cli import main
-from sarlab.dsp import load_mel, read_wav, write_wav
+from sarlab.dsp import griffin_lim, load_mel, read_wav, write_wav
+from sarlab.harness import build_manifest, front_end, load_mels
 from sarlab.metrics import estoi
 from sarlab.nn import make_rng
 from sarlab.speechlike import speechlike_utterance
@@ -38,6 +39,33 @@ class TestFeatures:
         main(["features", "--in", str(two_second_wav), "--out", str(a)])
         main(["features", "--in", str(two_second_wav), "--out", str(b)])
         assert (a / "clip.mel").read_bytes() == (b / "clip.mel").read_bytes()
+
+    def test_shared_stem_refused_before_writing(self, two_second_wav, tmp_path,
+                                                capsys):
+        # in/a/x.wav and in/b/x.wav would both become x.mel
+        src = tmp_path / "in"
+        for sub in ("a", "b", "c"):
+            (src / sub).mkdir(parents=True)
+        for name in ("a/x.wav", "b/x.wav", "c/y.wav"):
+            (src / name).write_bytes(two_second_wav.read_bytes())
+        out = tmp_path / "mels"
+        rc = main(["features", "--in", str(src), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(src / "a" / "x.wav") in err and str(src / "b" / "x.wav") in err
+        assert "y.wav" not in err
+        assert not out.exists()
+
+    def test_frames_are_the_training_features(self, small_corpus, tmp_path):
+        # the CLI and training share one front end: .mel frames are the
+        # float32 of what load_mels feeds the models
+        out = tmp_path / "mels"
+        assert main(["features", "--in", str(small_corpus), "--out", str(out)]) == 0
+        manifest = build_manifest(small_corpus)
+        ids = [e.utt_id for e in manifest.entries]
+        for utt_id, frames in zip(ids, load_mels(manifest, ids)):
+            mel = load_mel(out / (utt_id + ".mel"))
+            assert np.array_equal(mel.frames, frames.astype(np.float32))
 
 
 class TestTrain:
@@ -151,6 +179,69 @@ class TestSynth:
         assert rc == 0
         ref, synth = read_wav(two_second_wav), read_wav(out)
         assert abs(len(synth) - len(ref)) <= 256
+
+
+class TestSynthFromMelFile:
+    """`synth --mel` inverts a `.mel` with the front end its header names."""
+
+    iterations = 6
+
+    def features_then_synth(self, tmp_path, clip, n_mels, *extra):
+        wav, out = tmp_path / "in.wav", tmp_path / "out.wav"
+        write_wav(clip, wav)
+        assert main(["features", "--in", str(wav), "--out", str(tmp_path),
+                     "--n-mels", str(n_mels)]) == 0
+        mel_path = tmp_path / "in.mel"
+        rc = main(["synth", "--mel", str(mel_path), "--out", str(out),
+                   "--gl-iterations", str(self.iterations), *extra])
+        return rc, mel_path, out
+
+    def expected_wav(self, tmp_path, mel_path):
+        mel = load_mel(mel_path)
+        cfg, bank = front_end(mel.sample_rate, mel.n_mels)
+        path = tmp_path / "expected.wav"
+        write_wav(griffin_lim(mel, cfg, bank, iterations=self.iterations), path)
+        return cfg, path
+
+    @pytest.mark.parametrize("rate, n_mels", [(16000, 80), (22050, 40)])
+    def test_matches_library(self, tmp_path, rate, n_mels):
+        clip = speechlike_utterance(make_rng(5), sample_rate=rate, duration=1.0)
+        rc, mel_path, out = self.features_then_synth(tmp_path, clip, n_mels)
+        assert rc == 0
+        assert load_mel(mel_path).n_mels == n_mels
+        _, expected = self.expected_wav(tmp_path, mel_path)
+        assert out.read_bytes() == expected.read_bytes()
+
+    def test_via_sar(self, small_corpus, quick_checkpoints, tmp_path):
+        clip = read_wav(sorted(small_corpus.rglob("*.wav"))[0])
+        rc, _, out = self.features_then_synth(
+            tmp_path, clip, 80, "--via", "sar", "--ckpt", quick_checkpoints["sar"])
+        assert rc == 0
+        synth = read_wav(out)
+        assert abs(len(synth) - len(clip)) <= 256
+        assert np.all(np.isfinite(synth.samples))
+
+    @pytest.mark.parametrize("rate, hop", [(16000, 10 ** 9), (16000, 128),
+                                           (10 ** 12, 256), (96000, 256)])
+    def test_header_outside_the_front_end_refused(self, tmp_path, rate, hop,
+                                                  capsys):
+        mel_path = tmp_path / "odd.mel"
+        mel_path.write_bytes(b"SARMEL1 2 80 %d %d\n" % (rate, hop) + bytes(640))
+        rc = main(["synth", "--mel", str(mel_path), "--out", str(tmp_path / "o.wav")])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "o.wav").exists()
+
+    def test_96_khz_needs_no_flag(self, tmp_path):
+        # the 16 ms hop (1536 samples) is longer than 1024, so the front
+        # end takes a 2048-point FFT
+        clip = speechlike_utterance(make_rng(6), sample_rate=96000, duration=0.5)
+        rc, mel_path, out = self.features_then_synth(tmp_path, clip, 80)
+        assert rc == 0
+        cfg, expected = self.expected_wav(tmp_path, mel_path)
+        assert (cfg.fft_size, cfg.hop) == (2048, 1536)
+        assert out.read_bytes() == expected.read_bytes()
+        assert abs(len(read_wav(out)) - len(clip)) < 1536
 
 
 class TestEstoiCmd:

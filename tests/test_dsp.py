@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sarlab.dsp import (
     AudioClip,
@@ -14,7 +14,6 @@ from sarlab.dsp import (
     StftConfig,
     atomic_write,
     feature_hop,
-    filter_centers,
     griffin_lim,
     hz_to_mel,
     istft,
@@ -41,6 +40,19 @@ def tone(freq, sr=16000, dur=1.0, amp=0.5):
 def noise_clip(seed=0, sr=16000, n=16000, amp=0.3):
     rng = np.random.default_rng(seed)
     return AudioClip(amp * rng.uniform(-1, 1, n), sr)
+
+
+def slaney_points(sample_rate, n_mels):
+    """Closed-form Slaney mel-scale points, 0 Hz to Nyquist: filter k rises
+    from point k, peaks at point k + 1 (its centre) and falls to point k + 2."""
+    def mel(f):
+        return f / (200 / 3) if f < 1000 else 15 + np.log(f / 1000) / (np.log(6.4) / 27)
+
+    def hz(m):
+        return m * 200 / 3 if m < 15 else 1000 * np.exp((np.log(6.4) / 27) * (m - 15))
+
+    top = mel(sample_rate / 2)
+    return np.array([hz(top * k / (n_mels + 1)) for k in range(n_mels + 2)])
 
 
 # ---------------------------------------------------------------------------
@@ -262,23 +274,20 @@ class TestMel:
         assert np.all(np.diff(peaks) > 0)
 
     def test_centers_match_closed_form(self):
-        # independent recomputation of the Slaney mel-scale center points
-        bank = mel_filterbank(16000, 1024, 80, fmin=0.0, fmax=8000.0)
-        def mel(f):
-            return f / (200 / 3) if f < 1000 else 15 + np.log(f / 1000) / (np.log(6.4) / 27)
-        def hz(m):
-            return m * 200 / 3 if m < 15 else 1000 * np.exp((np.log(6.4) / 27) * (m - 15))
-        lo, hi = mel(0.0), mel(8000.0)
-        expected = [hz(lo + (hi - lo) * (k + 1) / 81) for k in range(80)]
-        np.testing.assert_allclose(filter_centers(bank), expected, atol=1e-9)
+        # each filter is nonzero exactly between its closed-form neighbours'
+        # centres and peaks at the bin nearest its own
+        bank = mel_filterbank(16000, 1024, 80)
+        pts = slaney_points(16000, 80)
+        bins = np.arange(513) * 16000 / 1024
+        for k, row in enumerate(bank.weights):
+            inside = (bins > pts[k] + 1e-6) & (bins < pts[k + 2] - 1e-6)
+            outside = (bins < pts[k] - 1e-6) | (bins > pts[k + 2] + 1e-6)
+            assert np.all(row[inside] > 0) and np.all(row[outside] == 0)
+            assert abs(bins[np.argmax(row)] - pts[k + 1]) <= 16000 / 1024
 
     def test_mel_hz_inverse(self):
         f = np.linspace(10, 7900, 50)
         np.testing.assert_allclose(mel_to_hz(hz_to_mel(f)), f, rtol=1e-12)
-
-    def test_invalid_range(self):
-        with pytest.raises(ValueError):
-            mel_filterbank(16000, 1024, 80, fmin=5000, fmax=4000)
 
     def test_silence_hits_floor(self):
         bank = mel_filterbank(16000, 1024, 80)
@@ -290,7 +299,7 @@ class TestMel:
         bank = mel_filterbank(16000, 1024, 80)
         cfg = StftConfig.for_rate(16000)
         mel = mel_spectrogram(tone(1000), cfg, bank)
-        centers = filter_centers(bank)
+        centers = slaney_points(16000, 80)[1:-1]
         expect = int(np.argmin(np.abs(centers - 1000)))
         inner = mel.frames[2:-2]
         peaks = np.argmax(inner, axis=1)
@@ -312,6 +321,20 @@ class TestMel:
     def test_feature_hop(self):
         assert feature_hop(16000) == 256
         assert feature_hop(8000) == 128
+
+    def test_fft_size_derived_from_rate(self):
+        # 1024 points up to 64 kHz, where the 16 ms hop reaches 1024 samples
+        for rate in (8000, 16000, 22050, 44100, 48000, 64000):
+            assert StftConfig.for_rate(rate) == StftConfig(1024, feature_hop(rate))
+        assert StftConfig.for_rate(96000) == StftConfig(2048, 1536)
+        assert StftConfig.for_rate(384000) == StftConfig(8192, 6144)
+        with pytest.raises(ValueError, match="feature limit"):
+            StftConfig.for_rate(384001)
+
+    def test_bank_rate_mismatch(self):
+        bank = mel_filterbank(22050, 1024, 80)
+        with pytest.raises(ValueError, match="sample_rate"):
+            mel_spectrogram(tone(440), StftConfig.for_rate(16000), bank)
 
     def test_mel_file_round_trip(self, tmp_path):
         bank = mel_filterbank(16000, 1024, 80)
@@ -368,7 +391,7 @@ class TestMelFileStrictness:
         with pytest.raises(ValueError, match="trailing bytes"):
             load_mel_bytes(tiny_mel + extra)
 
-    @given(t=st.integers(0, 6), d=st.integers(1, 4), data=st.data())
+    @given(t=st.integers(1, 6), d=st.integers(1, 4), data=st.data())
     @settings(max_examples=30, deadline=None)
     def test_round_trip_exact_in_float32(self, t, d, data):
         values = data.draw(st.lists(
@@ -378,6 +401,34 @@ class TestMelFileStrictness:
         back = load_mel_bytes(mel_bytes(frames, 8000, 128))
         assert (back.sample_rate, back.hop) == (8000, 128)
         assert np.array_equal(back.frames, frames)
+
+    sizes = st.one_of(st.integers(-3, 12), st.integers(-2 ** 70, 2 ** 70))
+
+    @given(t=sizes, d=sizes, rate=sizes, hop=sizes, n_values=st.integers(0, 40))
+    @settings(max_examples=200, deadline=None)
+    @example(t=10 ** 12, d=80, rate=16000, hop=256, n_values=4)
+    @example(t=3, d=0, rate=16000, hop=256, n_values=0)
+    @example(t=0, d=80, rate=16000, hop=256, n_values=0)
+    def test_header_read_strictly(self, t, d, rate, hop, n_values):
+        # a header either describes exactly the payload that follows, with
+        # every value >= 1, or the file is refused before anything is read
+        values = np.arange(n_values, dtype="<f4") - 7.5
+        raw = b"SARMEL1 %d %d %d %d\n" % (t, d, rate, hop) + values.tobytes()
+        if min(t, d, rate, hop) >= 1 and t * d == n_values:
+            mel = load_mel_bytes(raw)
+            assert (mel.sample_rate, mel.hop) == (rate, hop)
+            assert np.array_equal(mel.frames, values.reshape(t, d))
+        else:
+            with pytest.raises(ValueError):
+                load_mel_bytes(raw)
+
+    @pytest.mark.parametrize("shape, rate, hop", [
+        ((0, 80), 16000, 256), ((3, 0), 16000, 256), ((3, 2), 0, 256),
+        ((3, 2), 16000, 0)])
+    def test_unreadable_mel_not_written(self, tmp_path, shape, rate, hop):
+        with pytest.raises(ValueError):
+            save_mel(MelSpectrogram(np.zeros(shape), rate, hop), tmp_path / "x.mel")
+        assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +511,7 @@ def ref_stft(x, config):
     xp = np.pad(x, pad, mode="reflect") if x.size > 1 else np.pad(x, pad)
     n_frames = 1 + (len(xp) - n_fft) // hop
     from scipy.signal import get_window
-    win = get_window(config.window, n_fft, fftbins=True)
+    win = get_window("hann", n_fft, fftbins=True)
     idx = np.arange(n_fft)[None, :] + hop * np.arange(n_frames)[:, None]
     return np.fft.rfft(xp[idx] * win, n=n_fft, axis=1)
 
@@ -468,7 +519,7 @@ def ref_stft(x, config):
 def ref_istft(frames, config):
     n_fft, hop = config.fft_size, config.hop
     from scipy.signal import get_window
-    win = get_window(config.window, n_fft, fftbins=True)
+    win = get_window("hann", n_fft, fftbins=True)
     n_frames = frames.shape[0]
     total = (n_frames - 1) * hop + n_fft
     y = np.zeros(total)
@@ -495,7 +546,7 @@ def ref_griffin_lim(mel, config, bank, iterations):
         idx = np.clip(np.round(np.arange(t_synth) * synth_hop / mel.hop).astype(int),
                       0, t_feat - 1)
         mag = mag[idx]
-    synth_cfg = StftConfig(config.fft_size, synth_hop, config.window)
+    synth_cfg = StftConfig(config.fft_size, synth_hop)
     spec = mag.astype(np.complex128)
     for _ in range(iterations):
         x = ref_istft(spec, synth_cfg)
@@ -581,8 +632,8 @@ class TestFramingMatchesReference:
         assert not bank.pinv.flags.writeable
 
     def test_read_only_harness_bank_synthesizes(self):
-        from sarlab.harness import _front_end
-        cfg, bank = _front_end(16000, 80)
+        from sarlab.harness import front_end
+        cfg, bank = front_end(16000, 80)
         assert not bank.weights.flags.writeable
         mel = mel_spectrogram(noise_clip(n=6000), cfg, bank)
         out = griffin_lim(mel, cfg, bank, iterations=3)

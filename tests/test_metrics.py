@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from sarlab.dsp import AudioClip, MelSpectrogram, StftConfig, mel_filterbank, mel_spectrogram
+from sarlab.dsp import AudioClip
 from sarlab import metrics
-from sarlab.metrics import estoi, log_mel_distortion
+from sarlab.metrics import estoi
 from sarlab.nn import make_rng
 from sarlab.speechlike import speechlike_utterance
 
@@ -136,33 +136,3 @@ class TestEstoiInternals:
         assert np.array_equal(metrics._BAND_MATRIX, metrics._third_octave_matrix())
         for const in (metrics._WINDOW, metrics._BAND_MATRIX):
             assert not const.flags.writeable
-
-
-class TestLogMelDistortion:
-    bank = mel_filterbank(16000, 1024, 80)
-    cfg = StftConfig.for_rate(16000)
-
-    def test_identical_zero(self):
-        mel = mel_spectrogram(am_tones(7), self.cfg, self.bank)
-        assert log_mel_distortion(mel, mel.frames) == 0.0
-
-    def test_constant_offset_closed_form(self):
-        # offset of ln(10) in natural-log domain = 20 dB amplitude:
-        # (10/ln10)*sqrt(2)*ln(10) = 10*sqrt(2)
-        mel = mel_spectrogram(am_tones(8), self.cfg, self.bank)
-        off = MelSpectrogram(mel.frames + np.log(10.0), 16000, 256)
-        assert log_mel_distortion(mel, off) == pytest.approx(10 * np.sqrt(2), rel=1e-12)
-
-    def test_monotone_in_noise_variance(self):
-        mel = mel_spectrogram(am_tones(9), self.cfg, self.bank)
-        rng = make_rng(10)
-        noise = rng.standard_normal(mel.frames.shape)
-        prev = 0.0
-        for sigma in (0.01, 0.05, 0.2, 0.8):
-            d = log_mel_distortion(mel, mel.frames + sigma * noise)
-            assert d > prev
-            prev = d
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            log_mel_distortion(np.zeros((3, 4)), np.zeros((4, 3)))

@@ -14,6 +14,7 @@ from sarlab.nn import (
     PRelu,
     Sequential,
     Tanh,
+    _single_threaded_blas,
     clip_global_norm,
     make_rng,
     mse,
@@ -263,6 +264,13 @@ class TestBilstmConcurrency:
                 pytest.fail("forked child hung in Bilstm.forward")
             time.sleep(0.01)
         assert os.waitstatus_to_exitcode(status) == 0
+
+    def test_blas_pinning_without_proc_maps_does_nothing(self, monkeypatch):
+        def no_maps(*args, **kwargs):
+            raise OSError("no /proc/self/maps")
+
+        monkeypatch.setattr("builtins.open", no_maps)
+        assert _single_threaded_blas() is None
 
 
 class TestComposite:
