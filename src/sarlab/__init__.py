@@ -5,8 +5,10 @@ Subpackages:
     nn         -- trainable layers (FC, PReLU, BLSTM), Adam, gradients
     model      -- the masked auto-encoder (encode / mask / decode / train)
     corruption -- feature noise, feature masking, bandwidth degradation
-    metrics    -- ESTOI and a log-mel distortion proxy
+    metrics    -- ESTOI (extended short-time objective intelligibility)
     harness    -- dataset splits, evaluation systems, report tables
+    speechlike -- a generated stand-in corpus of speech-like utterances
+    cli        -- the `sarlab` command
 """
 
 __version__ = "0.1.0"

@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 runtime/I-O failure, 2 usage or validation error.
 import argparse
 import json
 import logging
+import os
 import shutil
 import sys
 from pathlib import Path
@@ -53,23 +54,18 @@ def cmd_features(args) -> int:
 
 
 def cmd_train(args) -> int:
-    from .harness import build_manifest, split_dataset, train_systems
-    from .model import SarConfig
-    data = Path(args.data)
-    if not data.is_dir():
-        raise UsageError("data directory not found: %s" % data)
-    overrides = {}
-    if args.config:
-        overrides = json.loads(Path(args.config).read_text())
-    sar_cfg = SarConfig(**overrides.get("sar_config", {}))
-    manifest = build_manifest(data)
+    from .harness import (TRAIN_CONFIG_KEYS, build_manifest, read_training,
+                          split_dataset, train_systems)
+    config = json.loads(Path(args.config).read_text()) if args.config else {}
+    sar_cfg, schedule = read_training(config, TRAIN_CONFIG_KEYS, "train config")
+    manifest = build_manifest(args.data)
     split = split_dataset(manifest, args.seed)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     history_path = out.with_suffix(".history.csv")
-    train_systems(manifest, split, overrides, sar_cfg, args.seed,
+    train_systems(manifest, split, schedule, sar_cfg, args.seed,
                   [(args.alpha_max, out, history_path)],
-                  overrides.get("train_limit"))
+                  config.get("train_limit"))
     print("checkpoint: %s" % out)
     print("history: %s" % history_path)
     return 0
@@ -80,15 +76,11 @@ def cmd_corrupt(args) -> int:
     from .dsp import MelSpectrogram, load_mel, read_wav, save_mel, write_wav
     spec = _load_spec_arg(args.spec)
     src = Path(args.input)
-    if not src.exists():
-        raise UsageError("input not found: %s" % src)
     if spec.kind == "none":
         shutil.copyfile(src, args.out)  # byte-identical
         return 0
     if src.suffix == ".mel":
         mel = load_mel(src)
-        if spec.kind == "band_limit":
-            raise UsageError("band_limit applies to audio, not mel features")
         out = corrupt(mel.frames, spec)
         if spec.kind == "white_noise":
             noise = out - mel.frames
@@ -96,10 +88,7 @@ def cmd_corrupt(args) -> int:
             print("realized SNR: %.2f dB" % realized)
         save_mel(MelSpectrogram(out, mel.sample_rate, mel.hop), args.out)
     else:
-        clip = read_wav(src)
-        if spec.kind != "band_limit":
-            raise UsageError("%s applies to mel features, not audio" % spec.kind)
-        write_wav(corrupt(clip, spec), args.out)
+        write_wav(corrupt(read_wav(src), spec), args.out)
     return 0
 
 
@@ -144,16 +133,13 @@ def cmd_estoi(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    from .harness import default_threads, emit_report, run_table_experiment
-    cfg_path = Path(args.config)
-    if not cfg_path.exists():
-        raise UsageError("config not found: %s" % cfg_path)
-    config = json.loads(cfg_path.read_text())
-    # --threads, then the config's "threads", then SARLAB_THREADS / CPU count
-    if args.threads:
-        config["threads"] = args.threads
-    elif "threads" not in config:
-        config["threads"] = default_threads()
+    from .harness import emit_report, run_table_experiment
+    config = json.loads(Path(args.config).read_text())
+    if not isinstance(config, dict):
+        raise UsageError("%s: an experiment config is a JSON object" % args.config)
+    # --threads, then the config's "threads", then the CPU count
+    if args.threads or "threads" not in config:
+        config["threads"] = args.threads or os.cpu_count() or 1
     table = run_table_experiment(config, train_first=args.train_first)
     out_dir = config.get("output_dir", ".")
     written = emit_report(table, out_dir)

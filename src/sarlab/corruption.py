@@ -44,16 +44,6 @@ class CorruptionSpec:
             raise ValueError("unknown corruption fields: %s" % sorted(extra))
         return cls(**d)
 
-    def to_dict(self) -> dict:
-        out = {"kind": self.kind, "seed": self.seed}
-        if self.kind == "white_noise":
-            out["snr_db"] = self.snr_db
-        elif self.kind == "mask":
-            out["alpha"] = self.alpha
-        elif self.kind == "band_limit":
-            out["intermediate_rate"] = self.intermediate_rate
-        return out
-
     @property
     def label(self) -> str:
         if self.kind == "none":

@@ -19,7 +19,6 @@ from scipy.io import wavfile
 from scipy.signal import firwin, get_window, resample_poly
 
 MEL_FLOOR = 1e-5
-LOG_MEL_FLOOR = math.log(MEL_FLOOR)
 
 MEL_MAGIC = b"SARMEL1"
 
@@ -78,10 +77,6 @@ class StftConfig:
         hop = feature_hop(sample_rate)
         return cls(fft_size=max(1024, 1 << (hop - 1).bit_length()), hop=hop)
 
-    @property
-    def n_bins(self) -> int:
-        return self.fft_size // 2 + 1
-
 
 @dataclass
 class ComplexSpectrogram:
@@ -135,7 +130,10 @@ def atomic_write(path, mode: str = "w", **kwargs):
     """
     path = os.fspath(path)
     tmp = "%s.%s.tmp" % (path, secrets.token_hex(4))
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:  # name the file the caller asked for
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, mode, **kwargs) as f:
             yield f

@@ -13,9 +13,8 @@ import hashlib
 import json
 import logging
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +37,14 @@ DEFAULT_CONDITIONS = [
     {"kind": "white_noise", "snr_db": 10.0},
 ]
 
+# experiment config keys; `sarlab train --config` takes TRAIN_CONFIG_KEYS
+CONFIG_KEYS = ("dataset_root", "split_seed", "n_eval_utts", "base_seed",
+               "threads", "gl_iterations", "systems", "checkpoints",
+               "conditions", "sar_config", "train", "train_seed",
+               "train_limit", "output_dir")
+TRAIN_CONFIG_KEYS = ("sar_config", "train", "train_limit")
+SCHEDULE_KEYS = ("batch_size", "lr", "max_epochs", "patience")
+
 
 @dataclass
 class ManifestEntry:
@@ -52,9 +59,11 @@ class Manifest:
     name: str = ""
 
     def __post_init__(self):
-        self._by_id = {e.utt_id: e for e in self.entries}
-        if len(self._by_id) != len(self.entries):
-            raise ValueError("duplicate utterance ids in manifest")
+        self._by_id = {}
+        for e in self.entries:
+            if self._by_id.setdefault(e.utt_id, e) is not e:
+                raise ValueError("duplicate utterance id %r: %s and %s" % (
+                    e.utt_id, self._by_id[e.utt_id].path, e.path))
 
     def by_id(self, utt_id: str) -> ManifestEntry:
         return self._by_id[utt_id]
@@ -192,13 +201,6 @@ def evaluate_system(system: EvalSystem, conditions, utterances,
             for c in conditions}
 
 
-def default_threads() -> int:
-    env = os.environ.get("SARLAB_THREADS")
-    if env:
-        return max(1, int(env))
-    return max(1, os.cpu_count() or 1)
-
-
 @functools.lru_cache(maxsize=8)
 def front_end(sample_rate: int, n_mels: int):
     """The (StftConfig, MelFilterBank) of every log-mel feature: training,
@@ -222,18 +224,37 @@ def load_mels(manifest: Manifest, ids, n_mels: int = 80) -> list:
     return mels
 
 
-def train_systems(manifest: Manifest, split: SplitSpec, overrides: dict,
+def check_keys(mapping, known, where: str) -> None:
+    """Raise ValueError naming every key of `mapping` not in `known`."""
+    if not isinstance(mapping, dict):
+        raise ValueError("%s must be a JSON object, got %r" % (where, mapping))
+    unknown = sorted(set(mapping) - set(known))
+    if unknown:
+        raise ValueError("unknown %s key(s): %s (known: %s)"
+                         % (where, ", ".join(unknown), ", ".join(known)))
+
+
+def read_training(config: dict, known=CONFIG_KEYS, where="experiment config"):
+    """(SarConfig, `train` schedule dict) of `config`; an unknown key at any
+    level, or a value SarConfig or TrainConfig refuses, raises ValueError."""
+    check_keys(config, known, where)
+    sar = config.get("sar_config", {})
+    check_keys(sar, [f.name for f in fields(SarConfig)], "sar_config")
+    schedule = config.get("train", {})
+    check_keys(schedule, SCHEDULE_KEYS, "train")
+    TrainConfig(**schedule)
+    return SarConfig(**sar), schedule
+
+
+def train_systems(manifest: Manifest, split: SplitSpec, schedule: dict,
                   sar_cfg: SarConfig, seed: int, runs,
                   train_limit: int | None = None) -> None:
     """Train one model per (alpha_max, checkpoint path, history path) in `runs`.
 
     Every run starts from `seed` on the same mels: the first `train_limit`
-    training utterances (all when None) and the validation set.  Of
-    `overrides`, a JSON config dict, only the `TrainConfig` schedule keys
-    (batch_size, lr, max_epochs, patience) are read.
+    training utterances (all when None) and the validation set.  `schedule`
+    is a config's `train` dict (SCHEDULE_KEYS).
     """
-    schedule = {k: overrides[k] for k in
-                ("batch_size", "lr", "max_epochs", "patience") if k in overrides}
     train_ids = split.train[:train_limit] if train_limit else split.train
     train_mels = load_mels(manifest, train_ids, sar_cfg.n_mels)
     val_mels = load_mels(manifest, split.val, sar_cfg.n_mels)
@@ -245,11 +266,21 @@ def train_systems(manifest: Manifest, split: SplitSpec, overrides: dict,
         history.save_csv(history_path)
 
 
-def run_table_experiment(config, train_first: bool = False) -> ReportTable:
-    """Evaluate all configured systems over the corruption grid."""
-    if not isinstance(config, dict):
-        with open(config) as f:
-            config = json.load(f)
+def run_table_experiment(config: dict, train_first: bool = False) -> ReportTable:
+    """Evaluate all configured systems over the corruption grid.
+
+    `config` is read strictly before any file is read or written.  Systems
+    without a checkpoint are trained first if `train_first`, else an error.
+    """
+    sar_cfg, schedule = read_training(config)
+    conditions = [CorruptionSpec.from_dict(d)
+                  for d in config.get("conditions", DEFAULT_CONDITIONS)]
+    system_kinds = config.get("systems", ["mel", "ae", "sar"])
+    checkpoints = dict(config.get("checkpoints", {}))
+    need_ckpt = [k for k in system_kinds if k != "mel" and k not in checkpoints]
+    if need_ckpt and not train_first:
+        raise ValueError("missing checkpoints for %s (pass train_first)" % need_ckpt)
+
     manifest = build_manifest(config["dataset_root"])
     split = split_dataset(manifest, config.get("split_seed", 1337))
     n_eval = config.get("n_eval_utts", 100)
@@ -258,14 +289,8 @@ def run_table_experiment(config, train_first: bool = False) -> ReportTable:
     base_seed = config.get("base_seed", 1337)
     threads = config.get("threads", 1)
     gl_iterations = config.get("gl_iterations", 60)
-    system_kinds = config.get("systems", ["mel", "ae", "sar"])
-    checkpoints = dict(config.get("checkpoints", {}))
 
-    need_ckpt = [k for k in system_kinds if k != "mel" and k not in checkpoints]
     if need_ckpt:
-        if not (train_first or config.get("train_first")):
-            raise ValueError("missing checkpoints for %s (pass train_first)" % need_ckpt)
-        sar_cfg = SarConfig(**config.get("sar_config", {}))
         ckpt_dir = Path(config.get("output_dir", ".")) / "checkpoints"
         ckpt_dir.mkdir(parents=True, exist_ok=True)
         runs = []
@@ -274,14 +299,11 @@ def run_table_experiment(config, train_first: bool = False) -> ReportTable:
                 ckpt = ckpt_dir / ("%s.ckpt" % kind)
                 runs.append((alpha, ckpt, ckpt_dir / ("%s_history.csv" % kind)))
                 checkpoints[kind] = str(ckpt)
-        train_systems(
-            manifest, split, config.get("train", {}), sar_cfg,
-            config.get("train_seed", base_seed), runs,
-            config.get("train_limit"))
+        train_systems(manifest, split, schedule, sar_cfg,
+                      config.get("train_seed", base_seed), runs,
+                      config.get("train_limit"))
 
     systems = [EvalSystem(k, checkpoints.get(k)) for k in system_kinds]
-    conditions = [CorruptionSpec.from_dict(d)
-                  for d in config.get("conditions", DEFAULT_CONDITIONS)]
     table = ReportTable(
         systems=[s.kind for s in systems],
         conditions=[c.label for c in conditions],

@@ -10,7 +10,7 @@ correlation.  Higher is better; the score never exceeds 1.
 import numpy as np
 from scipy.signal import get_window
 
-from .dsp import AudioClip, overlap_add, resample
+from .dsp import AudioClip, feature_hop, overlap_add, resample
 
 ESTOI_RATE = 10000
 FRAME_LEN = 256
@@ -94,7 +94,7 @@ def estoi(reference: AudioClip, degraded: AudioClip) -> float:
                          % (reference.sample_rate, degraded.sample_rate))
     sr = reference.sample_rate
     ref, deg = reference.samples, degraded.samples
-    tol = int(round(0.016 * sr)) + 2  # one feature hop of slack
+    tol = feature_hop(sr) + 2  # one feature hop of slack
     if abs(len(ref) - len(deg)) > tol:
         raise ValueError("length mismatch beyond one hop: %d vs %d"
                          % (len(ref), len(deg)))

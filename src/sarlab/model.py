@@ -19,6 +19,7 @@ from . import nn
 from .dsp import MelSpectrogram, atomic_write
 
 CKPT_MAGIC = b"SARCKPT1"
+GRAD_CLIP = 1.0  # global gradient-norm bound of every training step
 
 
 @dataclass
@@ -49,13 +50,13 @@ class TrainConfig:
     patience: int = 10
     seed: int = 1337
     alpha_max: float = 0.2
-    grad_clip: float = 1.0
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
+        for name in ("batch_size", "max_epochs", "patience"):
+            if getattr(self, name) < 1:
+                raise ValueError("%s must be >= 1" % name)
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise ValueError("lr must be finite and > 0")
         if not 0 <= self.alpha_max < 1:
             raise ValueError("alpha_max must be in [0, 1)")
 
@@ -282,7 +283,7 @@ def train_autoencoder(train_set, val_set, cfg: TrainConfig,
             model.zero_grads()
             model.backward(dpred, mask)
             grads = model.named_grads()
-            nn.clip_global_norm(grads, cfg.grad_clip)
+            nn.clip_global_norm(grads, GRAD_CLIP)
             steps += 1
             skipped += not opt.step(model.named_params(), grads)
             model.step += 1

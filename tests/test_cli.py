@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -79,7 +80,8 @@ class TestTrain:
         cfg.write_text(json.dumps({
             "sar_config": {"fc_hidden": 16, "blstm_hidden": 8,
                            "latent_dim": 8, "dec_hidden": 16},
-            "batch_size": 8, "lr": 1e-3, "max_epochs": 2, "patience": 5,
+            "train": {"batch_size": 8, "lr": 1e-3, "max_epochs": 2,
+                      "patience": 5},
         }))
         outs = []
         for name in ("m1", "m2"):
@@ -90,6 +92,22 @@ class TestTrain:
             assert out.exists()
             outs.append(out.with_suffix(".history.csv"))
         assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    @pytest.mark.parametrize("config, key", [
+        ({"max_epochs": 1}, "unknown train config key.*max_epochs"),
+        ({"train": {"max_epochs": 0}}, "max_epochs must be >= 1"),
+    ])
+    def test_bad_config_refused_before_writing(self, small_corpus, tmp_path,
+                                               capsys, config, key):
+        # the schedule lives under "train", as in an experiment config
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out" / "m.ckpt"
+        rc = main(["train", "--data", str(small_corpus), "--config", str(cfg),
+                   "--out", str(out)])
+        assert rc == 2
+        assert re.search(key, capsys.readouterr().err)
+        assert not out.parent.exists()
 
 
 class TestCorrupt:
@@ -107,6 +125,25 @@ class TestCorrupt:
                    "--spec", '{"kind": "band_limit", "intermediate_rate": 8000}',
                    "--out", str(tmp_path / "x.mel")])
         assert rc == 2
+
+    def test_feature_kind_on_wav_rejected(self, two_second_wav, tmp_path):
+        out = tmp_path / "x.wav"
+        rc = main(["corrupt", "--in", str(two_second_wav),
+                   "--spec", '{"kind": "mask", "alpha": 0.1}', "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, spec", [
+        ("nope.wav", '{"kind": "none"}'),
+        ("nope.mel", '{"kind": "mask", "alpha": 0.1}'),
+        ("nope.wav", '{"kind": "band_limit", "intermediate_rate": 8000}')])
+    def test_missing_input(self, tmp_path, capsys, name, spec):
+        out = tmp_path / "x.out"
+        rc = main(["corrupt", "--in", str(tmp_path / name), "--spec", spec,
+                   "--out", str(out)])
+        assert rc == 2
+        assert name in capsys.readouterr().err
+        assert not out.exists()
 
     def test_white_noise_realized_snr(self, two_second_wav, tmp_path, capsys):
         mels = tmp_path / "mels"
@@ -143,6 +180,15 @@ class TestSynth:
         rc = main(["synth", "--wav", str(two_second_wav), "--via", "sar",
                    "--out", str(tmp_path / "x.wav")])
         assert rc == 2
+
+    def test_unwritable_out_names_the_given_path(self, two_second_wav,
+                                                 tmp_path, capsys):
+        out = tmp_path / "absent" / "x.wav"
+        rc = main(["synth", "--wav", str(two_second_wav), "--out", str(out),
+                   "--gl-iterations", "2"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert repr(str(out)) in err and ".tmp" not in err
 
     def test_both_inputs_rejected(self, two_second_wav, tmp_path):
         rc = main(["synth", "--wav", str(two_second_wav),
@@ -289,7 +335,8 @@ class TestExperimentCmd:
         assert rc == 2
 
     def test_threads_precedence(self, tmp_path, monkeypatch):
-        """--threads, then the config's "threads", then default_threads()."""
+        """--threads, then the config's "threads", then the CPU count."""
+        import os
         import sarlab.harness as harness
         seen = []
 
@@ -297,7 +344,7 @@ class TestExperimentCmd:
             seen.append(config["threads"])
             return harness.ReportTable(systems=[], conditions=[])
 
-        monkeypatch.setattr(harness, "default_threads", lambda: 4)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
         monkeypatch.setattr(harness, "run_table_experiment", fake_run)
         with_threads = tmp_path / "with.json"
         with_threads.write_text(json.dumps({"threads": 1,
@@ -309,6 +356,24 @@ class TestExperimentCmd:
                      "--config", str(with_threads)]) == 0
         assert main(["experiment", "--config", str(without)]) == 0
         assert seen == [1, 3, 4]
+
+    @pytest.mark.parametrize("config, key", [
+        ({"gl_iteration": 8}, "unknown experiment config key.*gl_iteration"),
+        ({"train_first": True}, "unknown experiment config key.*train_first"),
+        ([], "JSON object"),
+    ])
+    def test_bad_config_refused_before_writing(self, small_corpus, tmp_path,
+                                               capsys, config, key):
+        out_dir = tmp_path / "out"
+        if isinstance(config, dict):
+            config = dict(config, dataset_root=str(small_corpus),
+                          output_dir=str(out_dir))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        rc = main(["experiment", "--config", str(cfg), "--train-first"])
+        assert rc == 2
+        assert re.search(key, capsys.readouterr().err)
+        assert not out_dir.exists()
 
     def test_rerun_identical_json(self, small_corpus, quick_checkpoints,
                                   tmp_path):

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -127,7 +129,7 @@ class TestCorruptDispatch:
             CorruptionSpec(kind="band_limit", intermediate_rate=8000, seed=5),
             CorruptionSpec(kind="none", seed=6),
         ):
-            assert CorruptionSpec.from_dict(spec.to_dict()) == spec
+            assert CorruptionSpec.from_dict(asdict(spec)) == spec
 
     def test_invalid_specs(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,9 @@
+import ast
 import json
+import re
 import struct
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +28,8 @@ from sarlab.model import (SarConfig, SarModel, TrainingHistory, load_checkpoint,
                           save_checkpoint)
 from sarlab.nn import make_rng
 from sarlab.speechlike import speechlike_utterance
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def write_riff(path, fmt, data=b"\0\0" * 800):
@@ -60,9 +65,21 @@ class TestManifest:
         assert m.by_id("b").path == "b.wav"
         with pytest.raises(KeyError):
             m.by_id("c")
-        with pytest.raises(ValueError, match="duplicate"):
+        with pytest.raises(ValueError,
+                           match="duplicate utterance id 'a': a.wav and x/a.wav"):
             Manifest([ManifestEntry("a", "a.wav", 1.0),
+                      ManifestEntry("b", "b.wav", 1.0),
                       ManifestEntry("a", "x/a.wav", 1.0)])
+
+    def test_shared_stem_names_both_paths(self, tmp_path):
+        for sub in ("a", "b"):
+            (tmp_path / sub).mkdir()
+            write_wav(speechlike_utterance(make_rng(4), duration=0.3),
+                      tmp_path / sub / "x.wav")
+        with pytest.raises(ValueError, match="duplicate utterance id 'x'") as err:
+            build_manifest(tmp_path)
+        assert str(tmp_path / "a" / "x.wav") in str(err.value)
+        assert str(tmp_path / "b" / "x.wav") in str(err.value)
 
     def test_unreadable_skipped_with_warning(self, tmp_path, caplog):
         write_wav(speechlike_utterance(make_rng(3), duration=0.5),
@@ -293,10 +310,10 @@ class TestExperiment:
                 "n_blstm": 1, "latent_dim": 4, "dec_hidden": 8}
         cfg = toy_config(small_corpus, {"ae": quick_checkpoints["ae"]},
                          tmp_path, systems=["ae", "sar"],
-                         conditions=[{"kind": "none"}], train_first=True,
+                         conditions=[{"kind": "none"}],
                          train_limit=4, sar_config=tiny,
                          train={"max_epochs": 1})
-        table = run_table_experiment(cfg)
+        table = run_table_experiment(cfg, train_first=True)
         written = sorted(p.name for p in (tmp_path / "checkpoints").iterdir())
         assert written == ["sar.ckpt", "sar_history.csv"]
         assert list(table.scores) == [("ae", "raw"), ("sar", "raw")]
@@ -306,10 +323,10 @@ class TestExperiment:
         tiny = {"n_mels": 40, "fc_hidden": 8, "n_fc_enc": 1,
                 "blstm_hidden": 4, "n_blstm": 1, "latent_dim": 4,
                 "dec_hidden": 8}
-        cfg = toy_config(small_corpus, {}, tmp_path, train_first=True,
+        cfg = toy_config(small_corpus, {}, tmp_path,
                          train_limit=4, sar_config=tiny,
                          train={"max_epochs": 1})
-        table = run_table_experiment(cfg)
+        table = run_table_experiment(cfg, train_first=True)
         assert len(table.scores) == 15
         for cell in table.scores.values():
             assert len(cell) == 2
@@ -320,6 +337,51 @@ class TestExperiment:
                          conditions=[{"kind": "none"}])
         table = run_table_experiment(cfg)
         assert list(table.scores) == [("mel", "raw")]
+
+
+class TestConfigStrictness:
+    @pytest.mark.parametrize("extra, error", [
+        ({"gl_iteration": 8}, "unknown experiment config key.*gl_iteration"),
+        ({"train_first": True}, "unknown experiment config key.*train_first"),
+        ({"train": {"seed": 9, "epochs": 3}}, "unknown train key.*epochs, seed"),
+        ({"sar_config": {"hidden": 4}}, "unknown sar_config key.*hidden"),
+        ({"train": {"max_epochs": 0}}, "max_epochs must be >= 1"),
+        ({"train": [1]}, "train must be a JSON object"),
+        ({"conditions": [{"kind": "mask", "alhpa": 0.1}]},
+         "unknown corruption fields.*alhpa"),
+    ])
+    def test_refused_before_any_file_is_touched(self, tmp_path, extra, error):
+        # the corpus does not exist: the config must fail before it is read
+        out = tmp_path / "out"
+        cfg = toy_config(tmp_path / "absent", {}, out, **extra)
+        with pytest.raises(ValueError, match=error):
+            run_table_experiment(cfg, train_first=True)
+        assert not out.exists()
+
+    def test_readme_config_is_read(self):
+        from sarlab.harness import read_training
+        readme = (ROOT / "README.md").read_text()
+        blocks = re.findall(r"```json\n(.*?)```", readme, re.DOTALL)
+        assert blocks
+        for block in blocks:
+            _, schedule = read_training(json.loads(block))
+            assert schedule
+
+    def test_demo_config_is_read(self):
+        from sarlab.harness import read_training
+        # the literal `config = {...}` of demo 03; non-literal values as source
+        tree = ast.parse((ROOT / "demos" / "03_anti_distortion_experiment.py")
+                         .read_text())
+        node = next(n.value for n in tree.body if isinstance(n, ast.Assign)
+                    and getattr(n.targets[0], "id", None) == "config")
+        config = {}
+        for key, value in zip(node.keys, node.values):
+            try:
+                config[key.value] = ast.literal_eval(value)
+            except ValueError:
+                config[key.value] = ast.unparse(value)
+        sar_cfg, schedule = read_training(config)
+        assert sar_cfg.alpha_max == 0.2 and schedule["max_epochs"] == 30
 
 
 class TestReportIO:

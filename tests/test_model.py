@@ -329,6 +329,13 @@ class TestTraining:
         _, hist = train_autoencoder(mels[:4], mels[4:], cfg, TOY)
         assert len(calls) == 2 and len(hist.epochs) == 1
 
+    @pytest.mark.parametrize("field, value", [
+        ("max_epochs", 0), ("batch_size", 0), ("patience", 0), ("lr", 0.0),
+        ("lr", -1e-3), ("lr", float("nan")), ("lr", float("inf"))])
+    def test_config_rejects_bad_schedule(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
     def test_empty_dataset(self):
         with pytest.raises(ValueError):
             train_autoencoder([], [tiny_mel()], TrainConfig(), TOY)
