@@ -9,6 +9,7 @@ import logging
 import os
 import shutil
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -57,15 +58,17 @@ def cmd_train(args) -> int:
     from .harness import (TRAIN_CONFIG_KEYS, build_manifest, read_training,
                           split_dataset, train_systems)
     config = json.loads(Path(args.config).read_text()) if args.config else {}
-    sar_cfg, schedule = read_training(config, TRAIN_CONFIG_KEYS, "train config")
+    sar_cfg, schedule, train_limit = read_training(config, TRAIN_CONFIG_KEYS,
+                                                   "train config")
+    if args.alpha_max is not None:  # SarConfig refuses a value outside [0, 1)
+        sar_cfg = replace(sar_cfg, alpha_max=args.alpha_max)
     manifest = build_manifest(args.data)
     split = split_dataset(manifest, args.seed)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     history_path = out.with_suffix(".history.csv")
     train_systems(manifest, split, schedule, sar_cfg, args.seed,
-                  [(args.alpha_max, out, history_path)],
-                  config.get("train_limit"))
+                  [(sar_cfg.alpha_max, out, history_path)], train_limit)
     print("checkpoint: %s" % out)
     print("history: %s" % history_path)
     return 0
@@ -116,8 +119,7 @@ def cmd_synth(args) -> int:
         cfg, bank = front_end(clip.sample_rate, n_mels)
         mel = mel_spectrogram(clip, cfg, bank)
     if model is not None:
-        frames = model.decode(model.encode(mel))
-        mel = MelSpectrogram(frames, mel.sample_rate, mel.hop)
+        mel = MelSpectrogram(model.reconstruct(mel.frames), mel.sample_rate, mel.hop)
     out = griffin_lim(mel, cfg, bank, iterations=args.gl_iterations)
     write_wav(out, args.out)
     print("wrote %s" % args.out)
@@ -138,8 +140,8 @@ def cmd_experiment(args) -> int:
     if not isinstance(config, dict):
         raise UsageError("%s: an experiment config is a JSON object" % args.config)
     # --threads, then the config's "threads", then the CPU count
-    if args.threads or "threads" not in config:
-        config["threads"] = args.threads or os.cpu_count() or 1
+    config["threads"] = (args.threads if args.threads is not None
+                         else config.get("threads", os.cpu_count() or 1))
     table = run_table_experiment(config, train_first=args.train_first)
     out_dir = config.get("output_dir", ".")
     written = emit_report(table, out_dir)
@@ -163,7 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("train", help="train an auto-encoder checkpoint")
     t.add_argument("--data", required=True)
-    t.add_argument("--alpha-max", type=float, default=0.2)
+    t.add_argument("--alpha-max", type=float, default=None,
+                   help="overrides sar_config.alpha_max (default 0.2)")
     t.add_argument("--config", default=None)
     t.add_argument("--out", required=True)
     t.set_defaults(func=cmd_train)

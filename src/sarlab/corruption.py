@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import AudioClip, resample
+from .dsp import AudioClip, check_number_fields, resample
 from .nn import make_rng
 
 KINDS = ("white_noise", "mask", "band_limit", "none")
@@ -24,6 +24,7 @@ class CorruptionSpec:
     seed: int = 0
 
     def __post_init__(self):
+        check_number_fields(self)
         if self.kind not in KINDS:
             raise ValueError("unknown corruption kind: %r" % self.kind)
         if self.kind == "white_noise":

@@ -7,11 +7,13 @@ with a hard floor so silence maps to a finite value.
 
 import functools
 import math
+import numbers
 import os
 import secrets
 import struct
+import typing
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -117,7 +119,25 @@ class MelSpectrogram:
 
 
 # ---------------------------------------------------------------------------
-# File writing
+# Config checking and file writing
+
+def check_number_fields(obj) -> None:
+    """Raise ValueError naming the first `int` or `float` field of dataclass
+    `obj` that holds no such number.  An int passes as a float, a bool is no
+    number, and an `X | None` field also takes None."""
+    for f in fields(obj):
+        kinds = typing.get_args(f.type) or (f.type,)
+        if int in kinds:
+            want, what = numbers.Integral, "an integer"
+        elif float in kinds:
+            want, what = numbers.Real, "a number"
+        else:
+            continue
+        value = getattr(obj, f.name)
+        if (value is not None or type(None) not in kinds) and (
+                isinstance(value, bool) or not isinstance(value, want)):
+            raise ValueError("%s must be %s, got %r" % (f.name, what, value))
+
 
 @contextmanager
 def atomic_write(path, mode: str = "w", **kwargs):
@@ -295,12 +315,9 @@ class _Framing:
         return y[pad:y.size - pad] if y.size > 2 * pad else y
 
 
-def stft(clip_or_samples, config: StftConfig) -> ComplexSpectrogram:
+def stft(clip: AudioClip, config: StftConfig) -> ComplexSpectrogram:
     """Centered STFT: reflect-pad by fft_size/2, then windowed rFFT frames."""
-    if isinstance(clip_or_samples, AudioClip):
-        x = clip_or_samples.samples
-    else:
-        x = np.asarray(clip_or_samples, dtype=np.float64)
+    x = clip.samples
     if x.size == 0:
         raise ValueError("cannot STFT an empty clip")
     pad = config.fft_size // 2

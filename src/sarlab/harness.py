@@ -13,6 +13,7 @@ import hashlib
 import json
 import logging
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -44,6 +45,7 @@ CONFIG_KEYS = ("dataset_root", "split_seed", "n_eval_utts", "base_seed",
                "train_limit", "output_dir")
 TRAIN_CONFIG_KEYS = ("sar_config", "train", "train_limit")
 SCHEDULE_KEYS = ("batch_size", "lr", "max_epochs", "patience")
+SYSTEM_KINDS = ("mel", "ae", "sar")
 
 
 @dataclass
@@ -83,7 +85,7 @@ class EvalSystem:
     checkpoint: str | None = None
 
     def __post_init__(self):
-        if self.kind not in ("mel", "ae", "sar"):
+        if self.kind not in SYSTEM_KINDS:
             raise ValueError("unknown system kind: %r" % self.kind)
         if self.kind != "mel" and not self.checkpoint:
             raise ValueError("%s system requires a checkpoint" % self.kind)
@@ -234,16 +236,29 @@ def check_keys(mapping, known, where: str) -> None:
                          % (where, ", ".join(unknown), ", ".join(known)))
 
 
+def int_setting(config: dict, key: str, default, minimum: int):
+    """config[key] or `default`: an integer >= `minimum`, or None if `default` is."""
+    value = config.get(key, default)
+    if value is None and default is None:
+        return None
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < minimum):
+        raise ValueError("%s must be an integer >= %d, got %r"
+                         % (key, minimum, value))
+    return value
+
+
 def read_training(config: dict, known=CONFIG_KEYS, where="experiment config"):
-    """(SarConfig, `train` schedule dict) of `config`; an unknown key at any
-    level, or a value SarConfig or TrainConfig refuses, raises ValueError."""
+    """(SarConfig, `train` schedule dict, train_limit) of `config`; an unknown
+    key at any level, or a value SarConfig, TrainConfig or `int_setting`
+    refuses, raises ValueError."""
     check_keys(config, known, where)
     sar = config.get("sar_config", {})
     check_keys(sar, [f.name for f in fields(SarConfig)], "sar_config")
     schedule = config.get("train", {})
     check_keys(schedule, SCHEDULE_KEYS, "train")
     TrainConfig(**schedule)
-    return SarConfig(**sar), schedule
+    return SarConfig(**sar), schedule, int_setting(config, "train_limit", None, 1)
 
 
 def train_systems(manifest: Manifest, split: SplitSpec, schedule: dict,
@@ -255,8 +270,7 @@ def train_systems(manifest: Manifest, split: SplitSpec, schedule: dict,
     training utterances (all when None) and the validation set.  `schedule`
     is a config's `train` dict (SCHEDULE_KEYS).
     """
-    train_ids = split.train[:train_limit] if train_limit else split.train
-    train_mels = load_mels(manifest, train_ids, sar_cfg.n_mels)
+    train_mels = load_mels(manifest, split.train[:train_limit], sar_cfg.n_mels)
     val_mels = load_mels(manifest, split.val, sar_cfg.n_mels)
     for alpha, ckpt_path, history_path in runs:
         cfg = TrainConfig(seed=seed, alpha_max=alpha, **schedule)
@@ -272,23 +286,29 @@ def run_table_experiment(config: dict, train_first: bool = False) -> ReportTable
     `config` is read strictly before any file is read or written.  Systems
     without a checkpoint are trained first if `train_first`, else an error.
     """
-    sar_cfg, schedule = read_training(config)
+    sar_cfg, schedule, train_limit = read_training(config)
     conditions = [CorruptionSpec.from_dict(d)
                   for d in config.get("conditions", DEFAULT_CONDITIONS)]
-    system_kinds = config.get("systems", ["mel", "ae", "sar"])
+    system_kinds = config.get("systems", list(SYSTEM_KINDS))
+    if (not isinstance(system_kinds, list)
+            or not all(k in SYSTEM_KINDS for k in system_kinds)):
+        raise ValueError("systems must be a list of %s, got %r"
+                         % ("/".join(SYSTEM_KINDS), system_kinds))
     checkpoints = dict(config.get("checkpoints", {}))
     need_ckpt = [k for k in system_kinds if k != "mel" and k not in checkpoints]
     if need_ckpt and not train_first:
         raise ValueError("missing checkpoints for %s (pass train_first)" % need_ckpt)
+    split_seed = int_setting(config, "split_seed", 1337, 0)
+    base_seed = int_setting(config, "base_seed", 1337, 0)
+    train_seed = int_setting(config, "train_seed", base_seed, 0)
+    n_eval = int_setting(config, "n_eval_utts", 100, 1)
+    threads = int_setting(config, "threads", 1, 1)
+    gl_iterations = int_setting(config, "gl_iterations", 60, 1)
 
     manifest = build_manifest(config["dataset_root"])
-    split = split_dataset(manifest, config.get("split_seed", 1337))
-    n_eval = config.get("n_eval_utts", 100)
+    split = split_dataset(manifest, split_seed)
     eval_ids = split.test[:n_eval]
     utterances = [(i, manifest.by_id(i).path) for i in eval_ids]
-    base_seed = config.get("base_seed", 1337)
-    threads = config.get("threads", 1)
-    gl_iterations = config.get("gl_iterations", 60)
 
     if need_ckpt:
         ckpt_dir = Path(config.get("output_dir", ".")) / "checkpoints"
@@ -299,9 +319,8 @@ def run_table_experiment(config: dict, train_first: bool = False) -> ReportTable
                 ckpt = ckpt_dir / ("%s.ckpt" % kind)
                 runs.append((alpha, ckpt, ckpt_dir / ("%s_history.csv" % kind)))
                 checkpoints[kind] = str(ckpt)
-        train_systems(manifest, split, schedule, sar_cfg,
-                      config.get("train_seed", base_seed), runs,
-                      config.get("train_limit"))
+        train_systems(manifest, split, schedule, sar_cfg, train_seed, runs,
+                      train_limit)
 
     systems = [EvalSystem(k, checkpoints.get(k)) for k in system_kinds]
     table = ReportTable(
@@ -329,35 +348,30 @@ def run_table_experiment(config: dict, train_first: bool = False) -> ReportTable
 # ---------------------------------------------------------------------------
 # Report I/O
 
-def emit_report(table: ReportTable, out_dir, formats=("csv", "json")) -> dict:
+def emit_report(table: ReportTable, out_dir) -> dict:
     """Write report.csv (summary) and report.json (full per-utterance scores)."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = {}
-    if "csv" in formats:
-        path = out_dir / "report.csv"
-        with atomic_write(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["system", "condition", "mean", "std", "n"])
-            for system in table.systems:
-                for cond in table.conditions:
-                    mean, std, n = table.cell(system, cond)
-                    w.writerow([system, cond, "%.9f" % mean, "%.9f" % std, n])
-        written["csv"] = str(path)
-    if "json" in formats:
-        path = out_dir / "report.json"
-        payload = {
-            "metadata": table.metadata,
-            "systems": table.systems,
-            "conditions": table.conditions,
-            "scores": {
-                "%s/%s" % key: {k: v for k, v in sorted(cell.items())}
-                for key, cell in sorted(table.scores.items())
-            },
-        }
-        with atomic_write(path, "w") as f:
-            json.dump(payload, f, indent=1, sort_keys=True)
-        written["json"] = str(path)
+    written = {"csv": str(out_dir / "report.csv"),
+               "json": str(out_dir / "report.json")}
+    with atomic_write(written["csv"], "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["system", "condition", "mean", "std", "n"])
+        for system in table.systems:
+            for cond in table.conditions:
+                mean, std, n = table.cell(system, cond)
+                w.writerow([system, cond, "%.9f" % mean, "%.9f" % std, n])
+    payload = {
+        "metadata": table.metadata,
+        "systems": table.systems,
+        "conditions": table.conditions,
+        "scores": {
+            "%s/%s" % key: {k: v for k, v in sorted(cell.items())}
+            for key, cell in sorted(table.scores.items())
+        },
+    }
+    with atomic_write(written["json"], "w") as f:
+        json.dump(payload, f, indent=1, sort_keys=True)
     return written
 
 

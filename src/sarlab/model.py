@@ -11,15 +11,16 @@ and latent elements are dropped (inverted dropout).  Inference (`encode`,
 import csv
 import json
 import struct
-from dataclasses import dataclass, asdict, field, replace
+from dataclasses import dataclass, asdict, field, fields, replace
 
 import numpy as np
 
 from . import nn
-from .dsp import MelSpectrogram, atomic_write
+from .dsp import atomic_write, check_number_fields
 
 CKPT_MAGIC = b"SARCKPT1"
 GRAD_CLIP = 1.0  # global gradient-norm bound of every training step
+VAL_BATCH = 32  # sequences per validation forward pass
 
 
 @dataclass
@@ -34,10 +35,10 @@ class SarConfig:
     alpha_max: float = 0.2
 
     def __post_init__(self):
-        for name in ("n_mels", "fc_hidden", "n_fc_enc", "blstm_hidden",
-                     "n_blstm", "latent_dim", "dec_hidden"):
-            if getattr(self, name) < 1:
-                raise ValueError("%s must be >= 1" % name)
+        check_number_fields(self)
+        for f in fields(self):  # every int field is a count or a width
+            if f.type is int and getattr(self, f.name) < 1:
+                raise ValueError("%s must be >= 1" % f.name)
         if not 0 <= self.alpha_max < 1:
             raise ValueError("alpha_max must be in [0, 1)")
 
@@ -52,6 +53,7 @@ class TrainConfig:
     alpha_max: float = 0.2
 
     def __post_init__(self):
+        check_number_fields(self)
         for name in ("batch_size", "max_epochs", "patience"):
             if getattr(self, name) < 1:
                 raise ValueError("%s must be >= 1" % name)
@@ -95,7 +97,7 @@ class SarModel(nn.Layer):
     "<layer>.<key>" (e.g. "enc_blstm0.fwd.wx"), in checkpoint order.
     """
 
-    def __init__(self, config: SarConfig, seed: int = 0, dtype=np.float32):
+    def __init__(self, config: SarConfig, seed: int = 0):
         super().__init__()
         self.config = config
         self.seed = seed
@@ -105,22 +107,21 @@ class SarModel(nn.Layer):
         enc = []
         d = c.n_mels
         for i in range(c.n_fc_enc):
-            enc.append(("enc_fc%d" % i, nn.Linear(d, c.fc_hidden, rng=rng, dtype=dtype)))
-            enc.append(("enc_prelu%d" % i, nn.PRelu(c.fc_hidden, dtype=dtype)))
+            enc.append(("enc_fc%d" % i, nn.Linear(d, c.fc_hidden, rng)))
+            enc.append(("enc_prelu%d" % i, nn.PRelu(c.fc_hidden)))
             d = c.fc_hidden
         for i in range(c.n_blstm):
-            enc.append(("enc_blstm%d" % i, nn.Bilstm(d, c.blstm_hidden, rng=rng, dtype=dtype)))
+            enc.append(("enc_blstm%d" % i, nn.Bilstm(d, c.blstm_hidden, rng)))
             d = 2 * c.blstm_hidden
-        enc.append(("enc_head", nn.Linear(d, c.latent_dim, rng=rng, dtype=dtype)))
+        enc.append(("enc_head", nn.Linear(d, c.latent_dim, rng)))
         enc.append(("enc_tanh", nn.Tanh()))
         self.encoder = nn.Sequential(enc)
         dec = [
-            ("dec_fc0", nn.Linear(c.latent_dim, c.dec_hidden, rng=rng, dtype=dtype)),
-            ("dec_prelu0", nn.PRelu(c.dec_hidden, dtype=dtype)),
-            ("dec_out", nn.Linear(c.dec_hidden, c.n_mels, rng=rng, dtype=dtype)),
+            ("dec_fc0", nn.Linear(c.latent_dim, c.dec_hidden, rng)),
+            ("dec_prelu0", nn.PRelu(c.dec_hidden)),
+            ("dec_out", nn.Linear(c.dec_hidden, c.n_mels, rng)),
         ]
         self.decoder = nn.Sequential(dec)
-        self.dtype = dtype
 
     # -- parameter plumbing -------------------------------------------------
 
@@ -130,9 +131,10 @@ class SarModel(nn.Layer):
     def snapshot(self) -> dict:
         return {k: v.copy() for k, v in self.named_params().items()}
 
-    def astype(self, dtype):
-        self.dtype = dtype
-        return super().astype(dtype)
+    @property
+    def dtype(self):
+        """The parameters' dtype; float32 unless `astype` changed it."""
+        return self.decoder.layers[-1][1].params["w"].dtype
 
     # -- training -----------------------------------------------------------
 
@@ -146,22 +148,14 @@ class SarModel(nn.Layer):
 
     # -- inference ----------------------------------------------------------
 
-    @staticmethod
-    def _frames(mel) -> np.ndarray:
-        if isinstance(mel, MelSpectrogram):
-            return mel.frames
-        return np.asarray(mel)
-
-    def encode(self, mel) -> np.ndarray:
-        """Latent sequence z, shape (T, latent_dim), all |z| < 1."""
-        frames = self._frames(mel)
+    def encode(self, frames: np.ndarray) -> np.ndarray:
+        """Latent z of (T, n_mels) frames, shape (T, latent_dim), all |z| < 1."""
+        frames = np.asarray(frames)
         if frames.ndim != 2 or frames.shape[1] != self.config.n_mels:
             raise ValueError("expected (T, %d) features, got %s"
                              % (self.config.n_mels, frames.shape))
-        if frames.shape[0] == 0:
-            raise ValueError("empty sequence")
-        x = frames[None].astype(self.dtype)
-        return self.encoder.forward(x)[0]
+        # an empty sequence is refused by the first BLSTM
+        return self.encoder.forward(frames[None].astype(self.dtype))[0]
 
     def decode(self, z: np.ndarray) -> np.ndarray:
         """Frame-local reconstruction, shape (T, n_mels)."""
@@ -171,17 +165,13 @@ class SarModel(nn.Layer):
                              % (self.config.latent_dim, z.shape))
         return self.decoder.forward(z[None].astype(self.dtype))[0]
 
-    def reconstruct(self, mel) -> np.ndarray:
-        return self.decode(self.encode(mel))
+    def reconstruct(self, frames: np.ndarray) -> np.ndarray:
+        return self.decode(self.encode(frames))
 
 
-def reconstruction_loss(pred: np.ndarray, target, valid=None) -> float:
-    """MSE over valid (unpadded) entries."""
-    target = SarModel._frames(target)
-    if valid is None:
-        return nn.mse(pred, target)
-    loss, _ = nn.mse_with_grad(np.asarray(pred), np.asarray(target), valid)
-    return loss
+def reconstruction_loss(pred: np.ndarray, target: np.ndarray) -> float:
+    """MSE of a reconstruction against its (T, n_mels) target frames."""
+    return nn.mse(pred, target)
 
 
 # ---------------------------------------------------------------------------
@@ -204,13 +194,6 @@ class TrainingHistory:
                             "%g" % self.alpha_max, self.seed])
 
 
-def _as_frame_list(dataset):
-    out = []
-    for m in dataset:
-        out.append(SarModel._frames(m).astype(np.float32))
-    return out
-
-
 def _batches(order, frames, batch_size):
     """Length-bucketed batches: sort each shuffled slice by length."""
     for i in range(0, len(order), batch_size):
@@ -229,11 +212,11 @@ def _pad_batch(seqs):
     return x, valid
 
 
-def _validation_loss(model: SarModel, frames, batch_size=32) -> float:
+def _validation_loss(model: SarModel, frames) -> float:
     total = 0.0
     count = 0
-    for i in range(0, len(frames), batch_size):
-        x, valid = _pad_batch(frames[i:i + batch_size])
+    for i in range(0, len(frames), VAL_BATCH):
+        x, valid = _pad_batch(frames[i:i + VAL_BATCH])
         z = model.encoder.forward(x)
         pred = model.decoder.forward(z)  # inference: no masking
         loss, _ = nn.mse_with_grad(pred, x, valid)
@@ -245,7 +228,8 @@ def _validation_loss(model: SarModel, frames, batch_size=32) -> float:
 
 def train_autoencoder(train_set, val_set, cfg: TrainConfig,
                       sar_cfg: SarConfig):
-    """Train the masked auto-encoder; returns (model at best val loss, history).
+    """Train the masked auto-encoder on lists of (T, n_mels) frame arrays;
+    returns (model at best val loss, history).
 
     Per step: `latent_mask` (one alpha draw per sequence), masked-frame-aware
     MSE, global-norm gradient clip, Adam.  Validation runs unmasked; early
@@ -256,8 +240,8 @@ def train_autoencoder(train_set, val_set, cfg: TrainConfig,
     """
     if not train_set or not val_set:
         raise ValueError("train and validation sets must be non-empty")
-    train_frames = _as_frame_list(train_set)
-    val_frames = _as_frame_list(val_set)
+    train_frames = [np.asarray(m, dtype=np.float32) for m in train_set]
+    val_frames = [np.asarray(m, dtype=np.float32) for m in val_set]
     model = SarModel(replace(sar_cfg, alpha_max=cfg.alpha_max), seed=cfg.seed)
     opt = nn.Adam(lr=cfg.lr)
     history = TrainingHistory(alpha_max=cfg.alpha_max, seed=cfg.seed)
@@ -345,8 +329,11 @@ def load_checkpoint(path) -> SarModel:
         if len(blob) < meta_len:
             raise ValueError("corrupt checkpoint: truncated metadata in %s" % path)
         meta = json.loads(blob.decode("utf-8"))
-        config = SarConfig(**meta["config"])
-        model = SarModel(config, seed=meta["seed"])
+        try:
+            model = SarModel(SarConfig(**meta["config"]), seed=meta["seed"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError("corrupt checkpoint: bad metadata (%s) in %s"
+                             % (exc, path)) from exc
         model.step = meta["step"]
         expected = model.named_params()
         flat = {}

@@ -2,8 +2,9 @@
 
 All layers operate on batched sequences shaped (B, T, D).  Each layer caches
 what its backward pass needs during forward; backward(dy), once per forward,
-returns dx and accumulates parameter gradients in `self.grads`.  Training
-runs in float32; float64 is used for gradient checking.
+returns dx and accumulates parameter gradients in `self.grads`.  Layers are
+built in float32; `Layer.astype` casts them, e.g. to float64 for gradient
+checking.
 """
 
 import ctypes
@@ -133,15 +134,11 @@ class Layer:
 class Linear(Layer):
     """y[t] = W x[t] + b, W shaped (d_out, d_in)."""
 
-    def __init__(self, d_in, d_out, rng=None, dtype=np.float32):
+    def __init__(self, d_in, d_out, rng):
         super().__init__()
-        if rng is None:
-            w = np.zeros((d_out, d_in))
-        else:
-            lim = np.sqrt(6.0 / (d_in + d_out))
-            w = rng.uniform(-lim, lim, (d_out, d_in))
-        self.params["w"] = w.astype(dtype)
-        self.params["b"] = np.zeros(d_out, dtype=dtype)
+        lim = np.sqrt(6.0 / (d_in + d_out))
+        self.params["w"] = rng.uniform(-lim, lim, (d_out, d_in)).astype(np.float32)
+        self.params["b"] = np.zeros(d_out, dtype=np.float32)
         self.zero_grads()
 
     def forward(self, x):
@@ -159,11 +156,11 @@ class Linear(Layer):
 
 
 class PRelu(Layer):
-    """Per-channel parametric ReLU; negative-side slope is learned."""
+    """Per-channel parametric ReLU; negative-side slope is learned, from 0.25."""
 
-    def __init__(self, d, slope=0.25, dtype=np.float32):
+    def __init__(self, d):
         super().__init__()
-        self.params["a"] = np.full(d, slope, dtype=dtype)
+        self.params["a"] = np.full(d, 0.25, dtype=np.float32)
         self.zero_grads()
 
     def forward(self, x):
@@ -181,9 +178,6 @@ class PRelu(Layer):
 class Tanh(Layer):
     """tanh squashing, output clamped strictly inside (-1, 1)."""
 
-    def __init__(self):
-        super().__init__()
-
     def forward(self, x):
         lim = 1.0 - np.finfo(x.dtype).eps
         self._y = np.clip(np.tanh(x), -lim, lim)
@@ -194,42 +188,30 @@ class Tanh(Layer):
 
 
 class Lstm(Layer):
-    """Single-direction LSTM over (B, T, D); gates ordered i, f, g, o."""
+    """Forward-in-time LSTM over (B, T, D); gates ordered i, f, g, o."""
 
-    def __init__(self, d_in, hidden, reverse=False, rng=None, dtype=np.float32):
+    def __init__(self, d_in, hidden, rng):
         super().__init__()
         self.hidden = hidden
-        self.reverse = reverse
         lim = 1.0 / np.sqrt(hidden)
-        def init(shape):
-            if rng is None:
-                return np.zeros(shape)
-            return rng.uniform(-lim, lim, shape)
-        self.params["wx"] = init((d_in, 4 * hidden)).astype(dtype)
-        self.params["wh"] = init((hidden, 4 * hidden)).astype(dtype)
-        b = np.zeros(4 * hidden, dtype=dtype)
+        for k, shape in (("wx", (d_in, 4 * hidden)), ("wh", (hidden, 4 * hidden))):
+            self.params[k] = rng.uniform(-lim, lim, shape).astype(np.float32)
+        b = np.zeros(4 * hidden, dtype=np.float32)
         b[hidden:2 * hidden] = 1.0  # forget-gate bias
         self.params["b"] = b
         self.zero_grads()
-
-    @staticmethod
-    def _gate_views(gates, H):
-        """i, f, g, o: views of a (B, T, 4H) gate buffer."""
-        return (gates[..., k * H:(k + 1) * H] for k in range(4))
 
     def forward(self, x):
         if x.shape[-1] != self.params["wx"].shape[0]:
             raise ValueError("Lstm: input width mismatch")
         if x.shape[1] == 0:
             raise ValueError("Lstm: empty sequence")
-        if self.reverse:
-            x = x[:, ::-1]
         B, T, _ = x.shape
         H = self.hidden
         wx, wh, b = self.params["wx"], self.params["wh"], self.params["b"]
         # gate pre-activations; step t overwrites its slice with the gates
         gates = x @ wx + b  # (B, T, 4H)
-        i, f, g, o = self._gate_views(gates, H)
+        i, f, g, o = np.split(gates, 4, axis=-1)  # views
         c = np.empty((B, T, H), dtype=x.dtype)
         tc = np.empty_like(c)
         h = np.empty_like(c)
@@ -247,17 +229,13 @@ class Lstm(Layer):
             h_prev = h[:, t]
             c_prev = c[:, t]
         self._cache = (x, gates, c, tc, h)
-        if self.reverse:
-            return h[:, ::-1]
         return h
 
     def backward(self, dy):
         x, gates, c, tc, h = self._cache
         self._cache = None
-        if self.reverse:
-            dy = dy[:, ::-1]
         B, T, H = c.shape
-        i, f, g, o = self._gate_views(gates, H)
+        i, f, g, o = np.split(gates, 4, axis=-1)
         wx, wh = self.params["wx"], self.params["wh"]
         # step t's gate gradients overwrite its gates, read for the last time
         da = gates
@@ -281,39 +259,37 @@ class Lstm(Layer):
         h_prev = np.concatenate([np.zeros((B, 1, H), dtype=x.dtype), h[:, :-1]], axis=1)
         self.grads["wh"] += np.tensordot(h_prev, da, axes=([0, 1], [0, 1]))
         self.grads["b"] += da.sum(axis=(0, 1))
-        dx = da @ wx.T
-        if self.reverse:
-            dx = dx[:, ::-1]
-        return dx
+        return da @ wx.T
 
 
 class Bilstm(Layer):
     """Forward and backward LSTM over the same input; outputs concatenated.
 
-    The two directions share no state, so the reverse one runs on a worker
-    thread while the calling thread runs the forward one; each does exactly
-    the arithmetic it would do alone.
+    `bwd` runs on the time-reversed input, and its output and input gradient
+    are reversed back here: only Bilstm knows about direction.  The two
+    directions share no state, so the reverse one runs on a worker thread
+    while the calling thread runs the forward one; each does exactly the
+    arithmetic it would do alone.
     """
 
-    def __init__(self, d_in, hidden, rng=None, dtype=np.float32):
+    def __init__(self, d_in, hidden, rng):
         super().__init__()
-        self.fwd = Lstm(d_in, hidden, reverse=False, rng=rng, dtype=dtype)
-        self.bwd = Lstm(d_in, hidden, reverse=True, rng=rng, dtype=dtype)
-        self.hidden = hidden
+        self.fwd = Lstm(d_in, hidden, rng)
+        self.bwd = Lstm(d_in, hidden, rng)
 
     def children(self):
         return [("fwd", self.fwd), ("bwd", self.bwd)]
 
     def forward(self, x):
         h_fwd, h_bwd = _concurrently(lambda: self.fwd.forward(x),
-                                     lambda: self.bwd.forward(x))
-        return np.concatenate([h_fwd, h_bwd], axis=-1)
+                                     lambda: self.bwd.forward(x[:, ::-1]))
+        return np.concatenate([h_fwd, h_bwd[:, ::-1]], axis=-1)
 
     def backward(self, dy):
-        H = self.hidden
+        H = self.fwd.hidden
         dx_fwd, dx_bwd = _concurrently(lambda: self.fwd.backward(dy[..., :H]),
-                                       lambda: self.bwd.backward(dy[..., H:]))
-        return dx_fwd + dx_bwd
+                                       lambda: self.bwd.backward(dy[:, ::-1, H:]))
+        return dx_fwd + dx_bwd[:, ::-1]
 
 
 class Sequential(Layer):
@@ -382,11 +358,10 @@ def clip_global_norm(grads: dict, max_norm: float) -> float:
 class Adam:
     """Standard Adam with bias correction over a dict of named tensors."""
 
-    def __init__(self, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, lr):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
@@ -400,7 +375,7 @@ class Adam:
                 log.warning("adam: non-finite gradient in %s; step skipped", k)
                 return False
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = self.BETA1, self.BETA2
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
         for k, g in grads.items():
@@ -411,5 +386,5 @@ class Adam:
             self.v[k] = b2 * self.v[k] + (1 - b2) * g * g
             m_hat = self.m[k] / c1
             v_hat = self.v[k] / c2
-            params[k] -= (self.lr * m_hat / (np.sqrt(v_hat) + self.eps)).astype(params[k].dtype)
+            params[k] -= (self.lr * m_hat / (np.sqrt(v_hat) + self.EPS)).astype(params[k].dtype)
         return True

@@ -96,6 +96,8 @@ class TestTrain:
     @pytest.mark.parametrize("config, key", [
         ({"max_epochs": 1}, "unknown train config key.*max_epochs"),
         ({"train": {"max_epochs": 0}}, "max_epochs must be >= 1"),
+        ({"sar_config": {"fc_hidden": "8"}}, "fc_hidden must be an integer"),
+        ({"train_limit": 0}, "train_limit must be an integer >= 1"),
     ])
     def test_bad_config_refused_before_writing(self, small_corpus, tmp_path,
                                                capsys, config, key):
@@ -107,6 +109,36 @@ class TestTrain:
                    "--out", str(out)])
         assert rc == 2
         assert re.search(key, capsys.readouterr().err)
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize("config, flag, want", [
+        ({"alpha_max": 0.0}, [], "0"),      # the config's value, not 0.2
+        ({"alpha_max": 0.0}, ["--alpha-max", "0.1"], "0.1"),  # flag wins
+        ({}, [], "0.2"),                    # neither: SarConfig's default
+    ])
+    def test_alpha_max_from_flag_else_config(self, small_corpus, tmp_path,
+                                             config, flag, want):
+        from sarlab.model import load_checkpoint
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "sar_config": dict(config, fc_hidden=4, n_fc_enc=1, blstm_hidden=2,
+                               n_blstm=1, latent_dim=2, dec_hidden=4),
+            "train": {"max_epochs": 1}, "train_limit": 4}))
+        out = tmp_path / "m.ckpt"
+        rc = main(["train", "--data", str(small_corpus), "--config", str(cfg),
+                   "--out", str(out)] + flag)
+        assert rc == 0
+        assert load_checkpoint(out).config.alpha_max == float(want)
+        rows = out.with_suffix(".history.csv").read_text().splitlines()
+        assert {row.split(",")[3] for row in rows[1:]} == {want}
+
+    def test_alpha_max_refused_before_reading(self, tmp_path, capsys):
+        # the corpus does not exist: the flag must fail before it is read
+        out = tmp_path / "out" / "m.ckpt"
+        rc = main(["train", "--data", str(tmp_path / "absent"),
+                   "--alpha-max", "1.5", "--out", str(out)])
+        assert rc == 2
+        assert "alpha_max must be in [0, 1)" in capsys.readouterr().err
         assert not out.parent.exists()
 
 
@@ -143,6 +175,19 @@ class TestCorrupt:
                    "--out", str(out)])
         assert rc == 2
         assert name in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spec, key", [
+        ('{"kind": "mask", "alpha": "0.1"}', "alpha must be a number"),
+        ('{"kind": "white_noise", "snr_db": "15"}', "snr_db must be a number"),
+        ('{"kind": "none", "seed": true}', "seed must be an integer"),
+    ])
+    def test_wrong_type_refused_before_reading(self, tmp_path, capsys, spec, key):
+        out = tmp_path / "x.out"
+        rc = main(["corrupt", "--in", str(tmp_path / "absent.mel"),
+                   "--spec", spec, "--out", str(out)])
+        assert rc == 2
+        assert key in capsys.readouterr().err
         assert not out.exists()
 
     def test_white_noise_realized_snr(self, two_second_wav, tmp_path, capsys):
@@ -361,6 +406,14 @@ class TestExperimentCmd:
         ({"gl_iteration": 8}, "unknown experiment config key.*gl_iteration"),
         ({"train_first": True}, "unknown experiment config key.*train_first"),
         ([], "JSON object"),
+        ({"systems": "mel"}, "systems must be a list"),
+        ({"gl_iterations": 0}, "gl_iterations must be an integer >= 1"),
+        ({"n_eval_utts": 0}, "n_eval_utts must be an integer >= 1"),
+        ({"threads": "2"}, "threads must be an integer >= 1"),
+        ({"train_limit": 0}, "train_limit must be an integer >= 1"),
+        ({"sar_config": {"fc_hidden": "8"}}, "fc_hidden must be an integer"),
+        ({"conditions": [{"kind": "mask", "alpha": "0.1"}]},
+         "alpha must be a number"),
     ])
     def test_bad_config_refused_before_writing(self, small_corpus, tmp_path,
                                                capsys, config, key):
@@ -373,6 +426,17 @@ class TestExperimentCmd:
         rc = main(["experiment", "--config", str(cfg), "--train-first"])
         assert rc == 2
         assert re.search(key, capsys.readouterr().err)
+        assert not out_dir.exists()
+
+    def test_zero_threads_refused(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dataset_root": str(tmp_path / "absent"),
+                                   "systems": ["mel"],
+                                   "output_dir": str(out_dir)}))
+        rc = main(["--threads", "0", "experiment", "--config", str(cfg)])
+        assert rc == 2
+        assert "threads must be an integer >= 1, got 0" in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_rerun_identical_json(self, small_corpus, quick_checkpoints,

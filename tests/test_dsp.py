@@ -223,7 +223,7 @@ class TestStft:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            stft(AudioClip(np.zeros(1), 16000).samples[:0], self.cfg)
+            stft(AudioClip(np.zeros(0), 16000), self.cfg)
 
     def test_round_trip(self):
         cfg = StftConfig(1024, 256)  # hop = fft/4
@@ -238,7 +238,7 @@ class TestStft:
         for _ in range(100):
             n = int(rng.integers(600, 3000))
             x = rng.uniform(-1, 1, n)
-            out = istft(stft(x, cfg)).samples
+            out = istft(stft(AudioClip(x, 16000), cfg)).samples
             m = min(len(out), n)
             assert np.max(np.abs(out[:m] - x[:m])) < 1e-6
 
@@ -459,11 +459,11 @@ class TestGriffinLim:
         # the magnitude the (k+1)-th iteration starts from
         mel = mel_spectrogram(noise_clip(n=6000), self.cfg, self.bank)
         target = mel_to_linear(mel, self.bank)
-        x0 = istft(ComplexSpectrogram(target.astype(complex), self.cfg)).samples
+        x0 = istft(ComplexSpectrogram(target.astype(complex), self.cfg))
         errs = []
         for k in range(31):
             x = x0 if k == 0 else griffin_lim(mel, self.cfg, self.bank,
-                                              iterations=k).samples
+                                              iterations=k)
             est_mag = np.abs(stft(x, self.cfg).frames)
             errs.append(np.linalg.norm(est_mag - target) / np.linalg.norm(target))
         diffs = np.diff(errs)
@@ -564,7 +564,7 @@ def ref_overlap_add(chunks, hop):
 
 
 def assert_same_as_reference(x, cfg):
-    spec = stft(x, cfg)
+    spec = stft(AudioClip(x, 16000), cfg)
     assert np.array_equal(spec.frames, ref_stft(x, cfg))
     assert np.array_equal(istft(spec).samples, ref_istft(spec.frames, cfg))
 

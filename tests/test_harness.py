@@ -349,6 +349,21 @@ class TestConfigStrictness:
         ({"train": [1]}, "train must be a JSON object"),
         ({"conditions": [{"kind": "mask", "alhpa": 0.1}]},
          "unknown corruption fields.*alhpa"),
+        ({"systems": "mel"}, "systems must be a list of mel/ae/sar"),
+        ({"systems": ["mel", "vae"]}, "systems must be a list.*vae"),
+        ({"gl_iterations": 0}, "gl_iterations must be an integer >= 1"),
+        ({"n_eval_utts": 0}, "n_eval_utts must be an integer >= 1"),
+        ({"threads": "2"}, "threads must be an integer >= 1, got '2'"),
+        ({"threads": 0}, "threads must be an integer >= 1"),
+        ({"train_limit": 0}, "train_limit must be an integer >= 1"),
+        ({"split_seed": 1.5}, "split_seed must be an integer >= 0"),
+        ({"sar_config": {"fc_hidden": "8"}}, "fc_hidden must be an integer"),
+        ({"sar_config": {"n_blstm": True}}, "n_blstm must be an integer"),
+        ({"sar_config": {"alpha_max": None}}, "alpha_max must be a number"),
+        ({"train": {"lr": "0.001"}}, "lr must be a number"),
+        ({"train": {"max_epochs": 2.0}}, "max_epochs must be an integer"),
+        ({"conditions": [{"kind": "mask", "alpha": "0.1"}]},
+         "alpha must be a number"),
     ])
     def test_refused_before_any_file_is_touched(self, tmp_path, extra, error):
         # the corpus does not exist: the config must fail before it is read
@@ -364,7 +379,7 @@ class TestConfigStrictness:
         blocks = re.findall(r"```json\n(.*?)```", readme, re.DOTALL)
         assert blocks
         for block in blocks:
-            _, schedule = read_training(json.loads(block))
+            _, schedule, _ = read_training(json.loads(block))
             assert schedule
 
     def test_demo_config_is_read(self):
@@ -380,7 +395,7 @@ class TestConfigStrictness:
                 config[key.value] = ast.literal_eval(value)
             except ValueError:
                 config[key.value] = ast.unparse(value)
-        sar_cfg, schedule = read_training(config)
+        sar_cfg, schedule, _ = read_training(config)
         assert sar_cfg.alpha_max == 0.2 and schedule["max_epochs"] == 30
 
 
@@ -464,7 +479,7 @@ def report_writer(fmt, fail):
     metadata = {"bad": object()} if fail and fmt == "json" else {}
     score = "not a number" if fail and fmt == "csv" else 0.5
     table = ReportTable(["mel"], ["raw"], {("mel", "raw"): {"u1": score}}, metadata)
-    return lambda path: emit_report(table, path.parent, formats=(fmt,))
+    return lambda path: emit_report(table, path.parent)
 
 
 WRITERS = {
@@ -482,9 +497,9 @@ class TestAtomicArtefacts:
         name, make = WRITERS[writer]
         path = tmp_path / name
         make(fail=False)(path)
-        before = path.read_bytes()
-        assert before
+        # emit_report writes report.csv and report.json
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert before[name]
         with pytest.raises((RuntimeError, TypeError, ValueError)):
             make(fail=True)(path)
-        assert path.read_bytes() == before
-        assert [p.name for p in tmp_path.iterdir()] == [name]
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before

@@ -1,3 +1,5 @@
+import json
+import struct
 import sys
 import tempfile
 import threading
@@ -336,6 +338,10 @@ class TestTraining:
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: value})
 
+    def test_ints_accepted_where_floats_belong(self):
+        assert TrainConfig(lr=1, alpha_max=0).lr == 1
+        assert SarConfig(alpha_max=0).alpha_max == 0
+
     def test_empty_dataset(self):
         with pytest.raises(ValueError):
             train_autoencoder([], [tiny_mel()], TrainConfig(), TOY)
@@ -383,19 +389,26 @@ class TestCheckpoint:
             load_checkpoint(tmp_path / "b.ckpt")
 
     def test_shape_mismatch_names_tensor(self, tmp_path):
-        import json, struct
         model = SarModel(TOY, seed=8)
         save_checkpoint(model, tmp_path / "m.ckpt")
-        raw = (tmp_path / "m.ckpt").read_bytes()
-        (meta_len,) = struct.unpack("<I", raw[8:12])
-        meta = json.loads(raw[12:12 + meta_len])
-        meta["tensors"][0][1] = [99, 99]  # lie about the first tensor's shape
-        blob = json.dumps(meta).encode()
+
+        def lie(meta):  # about the first tensor's shape
+            meta["tensors"][0][1] = [99, 99]
+
         (tmp_path / "x.ckpt").write_bytes(
-            raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + meta_len:])
-        name = meta["tensors"][0][0]
+            edit_meta((tmp_path / "m.ckpt").read_bytes(), lie))
+        name = next(iter(model.named_params()))  # the tensor lied about
         with pytest.raises(ValueError, match=name.replace(".", r"\.")):
             load_checkpoint(tmp_path / "x.ckpt")
+
+
+def edit_meta(raw, edit):
+    """Checkpoint bytes `raw` with `edit(meta)` applied to their metadata."""
+    (meta_len,) = struct.unpack("<I", raw[8:12])
+    meta = json.loads(raw[12:12 + meta_len])
+    edit(meta)
+    blob = json.dumps(meta).encode()
+    return raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + meta_len:]
 
 
 # one of every tensor kind, as few bytes as a checkpoint can have
@@ -431,3 +444,14 @@ class TestCheckpointStrictness:
     def test_appended_bytes_rejected(self, tiny_ckpt, extra):
         with pytest.raises(ValueError, match="trailing bytes"):
             load_bytes(tiny_ckpt + extra)
+
+    @pytest.mark.parametrize("change, error", [
+        ({"window": "hann"}, "window"),
+        ({"n_mels": "80"}, "n_mels must be an integer"),
+        ({"alpha_max": None}, "alpha_max must be a number"),
+    ])
+    def test_bad_config_metadata_rejected(self, tiny_ckpt, change, error):
+        raw = edit_meta(tiny_ckpt, lambda meta: meta["config"].update(change))
+        with pytest.raises(ValueError,
+                           match=r"corrupt checkpoint: .*%s.* in .*x\.ckpt" % error):
+            load_bytes(raw)

@@ -61,31 +61,31 @@ def check_model_grads(model, x, target, rtol=1e-4):
 
 class TestLinear:
     def test_identity(self):
-        lin = Linear(3, 3, dtype=np.float64)
+        lin = Linear(3, 3, make_rng(0)).astype(np.float64)
         lin.params["w"] = np.eye(3)
         x = np.arange(6.0).reshape(1, 2, 3)
         assert np.array_equal(lin.forward(x), x)
 
     def test_hand_example(self):
-        lin = Linear(2, 2, dtype=np.float64)
+        lin = Linear(2, 2, make_rng(0)).astype(np.float64)
         lin.params["w"] = np.array([[1.0, 1.0], [0.0, 1.0]])
         lin.params["b"] = np.array([0.0, 1.0])
         y = lin.forward(np.array([[[1.0, 2.0]]]))
         np.testing.assert_array_equal(y[0, 0], [3.0, 3.0])
 
     def test_empty_time(self):
-        lin = Linear(4, 2, rng=make_rng(0), dtype=np.float64)
+        lin = Linear(4, 2, make_rng(0)).astype(np.float64)
         y = lin.forward(np.zeros((1, 0, 4)))
         assert y.shape == (1, 0, 2)
 
     def test_dim_mismatch(self):
-        lin = Linear(4, 2, rng=make_rng(0))
+        lin = Linear(4, 2, make_rng(0))
         with pytest.raises(ValueError):
             lin.forward(np.zeros((1, 3, 5), dtype=np.float32))
 
     def test_gradients(self):
         rng = make_rng(1)
-        model = Sequential([("fc", Linear(4, 3, rng=rng, dtype=np.float64))])
+        model = Sequential([("fc", Linear(4, 3, rng).astype(np.float64))])
         x = rng.standard_normal((2, 3, 4))
         target = rng.standard_normal((2, 3, 3))
         check_model_grads(model, x, target)
@@ -93,25 +93,26 @@ class TestLinear:
 
 class TestPRelu:
     def test_nonnegative_identity(self):
-        p = PRelu(3, dtype=np.float64)
+        p = PRelu(3).astype(np.float64)
         x = np.abs(np.random.default_rng(0).standard_normal((1, 4, 3)))
         assert np.array_equal(p.forward(x), x)
 
     def test_negative_scaled(self):
-        p = PRelu(1, slope=0.25, dtype=np.float64)
+        p = PRelu(1).astype(np.float64)  # initial slope 0.25
         y = p.forward(np.array([[[-1.0]]]))
         assert y[0, 0, 0] == -0.25
 
     def test_unit_slope_identity(self):
-        p = PRelu(2, slope=1.0, dtype=np.float64)
+        p = PRelu(2).astype(np.float64)
+        p.params["a"] = np.ones(2)
         x = np.random.default_rng(1).standard_normal((1, 5, 2))
         assert np.array_equal(p.forward(x), x)
 
     def test_gradients(self):
         rng = make_rng(2)
         model = Sequential([
-            ("fc", Linear(3, 4, rng=rng, dtype=np.float64)),
-            ("act", PRelu(4, dtype=np.float64)),
+            ("fc", Linear(3, 4, rng).astype(np.float64)),
+            ("act", PRelu(4).astype(np.float64)),
         ])
         x = rng.standard_normal((2, 4, 3))
         target = rng.standard_normal((2, 4, 4))
@@ -127,7 +128,7 @@ class TestTanh:
     def test_gradients(self):
         rng = make_rng(3)
         model = Sequential([
-            ("fc", Linear(3, 2, rng=rng, dtype=np.float64)),
+            ("fc", Linear(3, 2, rng).astype(np.float64)),
             ("tanh", Tanh()),
         ])
         x = rng.standard_normal((1, 4, 3))
@@ -138,23 +139,32 @@ class TestTanh:
 class TestLstm:
     def test_output_bounded(self):
         rng = make_rng(4)
-        layer = Bilstm(5, 4, rng=rng, dtype=np.float64)
+        layer = Bilstm(5, 4, rng).astype(np.float64)
         x = 5 * rng.standard_normal((2, 6, 5))
         y = layer.forward(x)
         assert np.all(np.abs(y) <= 1.0)
         assert y.shape == (2, 6, 8)
 
+    def test_positional_rng_gives_a_random_forward_lstm(self):
+        layer = Lstm(4, 3, make_rng(0))
+        assert np.all(layer.params["wx"] != 0) and np.all(layer.params["wh"] != 0)
+        x = make_rng(1).standard_normal((1, 5, 4)).astype(np.float32)
+        y = layer.forward(x)
+        # forward in time: step t sees frames 0..t only
+        x[:, 3:] = 0
+        assert np.array_equal(layer.forward(x)[:, :3], y[:, :3])
+
     def test_empty_sequence_rejected(self):
-        layer = Lstm(3, 2, rng=make_rng(0))
+        layer = Lstm(3, 2, make_rng(0))
         with pytest.raises(ValueError):
             layer.forward(np.zeros((1, 0, 3), dtype=np.float32))
 
     def test_reversal_symmetry(self):
         rng = make_rng(5)
-        bi = Bilstm(3, 4, rng=rng, dtype=np.float64)
+        bi = Bilstm(3, 4, rng).astype(np.float64)
         x = rng.standard_normal((1, 5, 3))
         y = bi.forward(x)
-        swapped = Bilstm(3, 4, dtype=np.float64)
+        swapped = Bilstm(3, 4, make_rng(0)).astype(np.float64)
         swapped.fwd.params = {k: v.copy() for k, v in bi.bwd.params.items()}
         swapped.bwd.params = {k: v.copy() for k, v in bi.fwd.params.items()}
         y2 = swapped.forward(x[:, ::-1].copy())
@@ -163,7 +173,7 @@ class TestLstm:
 
     def test_single_step(self):
         rng = make_rng(6)
-        bi = Bilstm(3, 2, rng=rng, dtype=np.float64)
+        bi = Bilstm(3, 2, rng).astype(np.float64)
         x = rng.standard_normal((1, 1, 3))
         y = bi.forward(x)
         # both halves see the same frame with zero recurrent input
@@ -174,14 +184,14 @@ class TestLstm:
 
     def test_gradients_single_direction(self):
         rng = make_rng(7)
-        model = Sequential([("lstm", Lstm(4, 3, rng=rng, dtype=np.float64))])
+        model = Sequential([("lstm", Lstm(4, 3, rng).astype(np.float64))])
         x = rng.standard_normal((2, 4, 4))
         target = rng.standard_normal((2, 4, 3))
         check_model_grads(model, x, target)
 
     def test_gradients_bidirectional(self):
         rng = make_rng(8)
-        model = Sequential([("blstm", Bilstm(3, 2, rng=rng, dtype=np.float64))])
+        model = Sequential([("blstm", Bilstm(3, 2, rng).astype(np.float64))])
         x = rng.standard_normal((1, 4, 3))
         target = rng.standard_normal((1, 4, 4))
         check_model_grads(model, x, target)
@@ -203,9 +213,12 @@ class TestBilstmConcurrency:
         y = layer.forward(x)
         layer.zero_grads()
         dx = layer.backward(dy)
-        y_seq = np.concatenate([seq.fwd.forward(x), seq.bwd.forward(x)], axis=-1)
+        # bwd is a forward-in-time LSTM run on the time-reversed sequence
+        y_seq = np.concatenate([seq.fwd.forward(x),
+                                seq.bwd.forward(x[:, ::-1])[:, ::-1]], axis=-1)
         seq.zero_grads()
-        dx_seq = seq.fwd.backward(dy[..., :128]) + seq.bwd.backward(dy[..., 128:])
+        dx_seq = (seq.fwd.backward(dy[..., :128])
+                  + seq.bwd.backward(dy[:, ::-1, 128:])[:, ::-1])
         assert np.array_equal(y, y_seq)
         assert np.array_equal(dx, dx_seq)
         got, want = layer.named_grads(), seq.named_grads()
@@ -240,7 +253,7 @@ class TestBilstmConcurrency:
         # the worker is idle again and still serves the next layer
         fresh = Bilstm(3, 2, rng=make_rng(2))
         y = fresh.forward(x)
-        assert np.array_equal(y[..., 2:], fresh.bwd.forward(x))
+        assert np.array_equal(y[..., 2:], fresh.bwd.forward(x[:, ::-1])[:, ::-1])
 
     def test_worker_runs_after_fork(self):
         layer, x, _ = c5_blstm_case(3)
@@ -277,12 +290,12 @@ class TestComposite:
     def test_deep_stack_gradients(self):
         rng = make_rng(9)
         model = Sequential([
-            ("fc0", Linear(5, 4, rng=rng, dtype=np.float64)),
-            ("act0", PRelu(4, dtype=np.float64)),
-            ("blstm", Bilstm(4, 3, rng=rng, dtype=np.float64)),
-            ("head", Linear(6, 4, rng=rng, dtype=np.float64)),
+            ("fc0", Linear(5, 4, rng).astype(np.float64)),
+            ("act0", PRelu(4).astype(np.float64)),
+            ("blstm", Bilstm(4, 3, rng).astype(np.float64)),
+            ("head", Linear(6, 4, rng).astype(np.float64)),
             ("tanh", Tanh()),
-            ("dec", Linear(4, 5, rng=rng, dtype=np.float64)),
+            ("dec", Linear(4, 5, rng).astype(np.float64)),
         ])
         x = rng.standard_normal((1, 4, 5))
         target = rng.standard_normal((1, 4, 5))
@@ -290,7 +303,7 @@ class TestComposite:
 
     def test_gradient_linearity(self):
         rng = make_rng(11)
-        model = Sequential([("fc", Linear(3, 3, rng=rng, dtype=np.float64))])
+        model = Sequential([("fc", Linear(3, 3, rng).astype(np.float64))])
         x = rng.standard_normal((1, 3, 3))
         target = rng.standard_normal((1, 3, 3))
         model.zero_grads()
@@ -306,7 +319,7 @@ class TestComposite:
 
     def test_zero_grad_at_minimum(self):
         rng = make_rng(12)
-        model = Sequential([("fc", Linear(2, 2, rng=rng, dtype=np.float64))])
+        model = Sequential([("fc", Linear(2, 2, rng).astype(np.float64))])
         x = rng.standard_normal((1, 3, 2))
         pred = model.forward(x)
         model.zero_grads()
@@ -366,12 +379,12 @@ class TestAdam:
     def test_first_step_value(self):
         # w=0, g=1, lr=0.1: bias-corrected first step is -lr * g/(|g| + eps')
         p = {"w": np.array([0.0])}
-        Adam(lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8).step(p, {"w": np.array([1.0])})
+        Adam(lr=0.1).step(p, {"w": np.array([1.0])})
         assert p["w"][0] == pytest.approx(-0.1, abs=1e-6)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            Adam().step({"w": np.zeros(2)}, {"w": np.zeros(3)})
+            Adam(lr=1e-3).step({"w": np.zeros(2)}, {"w": np.zeros(3)})
 
     def test_non_finite_skipped(self):
         p = {"w": np.array([1.0])}
@@ -413,8 +426,8 @@ class TestUtilities:
         def run():
             rng = make_rng(99)
             model = Sequential([
-                ("fc", Linear(4, 3, rng=rng, dtype=np.float32)),
-                ("blstm", Bilstm(3, 2, rng=rng, dtype=np.float32)),
+                ("fc", Linear(4, 3, rng)),
+                ("blstm", Bilstm(3, 2, rng)),
             ])
             x = rng.standard_normal((1, 5, 4)).astype(np.float32)
             y = model.forward(x)
