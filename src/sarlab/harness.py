@@ -14,6 +14,7 @@ import json
 import logging
 import math
 import numbers
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -26,7 +27,7 @@ from .dsp import (MelSpectrogram, StftConfig, atomic_write, griffin_lim,
 from .metrics import estoi
 from .model import (SarConfig, TrainConfig, load_checkpoint, save_checkpoint,
                     train_autoencoder)
-from .nn import make_rng
+from .nn import _single_threaded_blas, make_rng
 
 log = logging.getLogger(__name__)
 
@@ -157,18 +158,27 @@ def evaluate_system(system: EvalSystem, conditions, utterances,
                     threads: int = 1) -> dict:
     """{condition label: {utt_id: ESTOI}} for `utterances`, [(utt_id, wav_path)].
 
-    Each WAV is read once; its mel (and AE/SAR latent) is computed once per
-    audio variant: the clean clip, or a band_limit condition's clip.
+    `threads` shards the utterances.  Each shard, on its own thread with its
+    own model copy, reads each WAV once and computes its mel (and AE/SAR
+    latent) once per audio variant: the clean clip, or a band_limit
+    condition's clip.  Each (utterance, condition) cell it decodes goes to
+    max(2, threads) grading threads for Griffin-Lim and ESTOI; at most two
+    cells per grading thread are decoded and not yet graded, so memory does
+    not grow with the grid.  A cell's score depends only on its own inputs,
+    so it is the same bits on any thread.  Every cell has finished before a
+    cell's error propagates.
     """
     if not utterances:
         raise ValueError("no utterances to evaluate")
+    # threaded BLAS gives mel features other last bits than a pinned one
+    _single_threaded_blas()
     model = load_checkpoint(system.checkpoint) if system.kind != "mel" else None
     n_mels = model.config.n_mels if model is not None else 80
 
-    def run_shard(shard):
-        # layers cache forward state, so each worker owns a model copy
+    def cells(shard):
+        """(label, utt_id, clip, decoded features, cfg, bank) of `shard`."""
+        # layers cache forward state, so each shard owns a model copy
         local_model = copy.deepcopy(model)
-        scores = {}
         for utt_id, path in shard:
             clip = read_wav(path)
             cfg, bank = front_end(clip.sample_rate, n_mels)
@@ -187,19 +197,32 @@ def evaluate_system(system: EvalSystem, conditions, utterances,
                     feats = corrupt(feats, local)
                 if local_model is not None:
                     feats = local_model.decode(feats)
-                synth = griffin_lim(MelSpectrogram(feats, clip.sample_rate, cfg.hop),
-                                    cfg, bank, iterations=gl_iterations)
-                scores[cspec.label, utt_id] = estoi(clip, synth)
-        return scores
+                yield cspec.label, utt_id, clip, feats, cfg, bank
 
-    if threads <= 1:
-        scores = run_shard(utterances)
-    else:
-        n = min(threads, len(utterances))
-        with ThreadPoolExecutor(max_workers=n) as pool:
-            parts = pool.map(run_shard, [utterances[i::n] for i in range(n)])
-            scores = {k: v for part in parts for k, v in part.items()}
-    return {c.label: {utt_id: scores[c.label, utt_id] for utt_id, _ in utterances}
+    def grade(clip, feats, cfg, bank):
+        synth = griffin_lim(MelSpectrogram(feats, clip.sample_rate, cfg.hop),
+                            cfg, bank, iterations=gl_iterations)
+        return estoi(clip, synth)
+
+    lanes = max(2, threads)
+    slots = threading.BoundedSemaphore(2 * lanes)
+    futures = {}
+    with ThreadPoolExecutor(max_workers=lanes) as graders:
+        def run_shard(shard):
+            for label, utt_id, *cell in cells(shard):
+                slots.acquire()
+                future = graders.submit(grade, *cell)
+                future.add_done_callback(lambda _: slots.release())
+                futures[label, utt_id] = future
+
+        if threads <= 1:
+            run_shard(utterances)
+        else:
+            n = min(threads, len(utterances))
+            with ThreadPoolExecutor(max_workers=n) as pool:
+                list(pool.map(run_shard, [utterances[i::n] for i in range(n)]))
+    return {c.label: {utt_id: futures[c.label, utt_id].result()
+                      for utt_id, _ in utterances}
             for c in conditions}
 
 
@@ -287,8 +310,13 @@ def run_table_experiment(config: dict, train_first: bool = False) -> ReportTable
     without a checkpoint are trained first if `train_first`, else an error.
     """
     sar_cfg, schedule, train_limit = read_training(config)
-    conditions = [CorruptionSpec.from_dict(d)
-                  for d in config.get("conditions", DEFAULT_CONDITIONS)]
+    if "dataset_root" not in config:
+        raise ValueError("dataset_root is required: the corpus directory")
+    conditions = []
+    for i, d in enumerate(config.get("conditions", DEFAULT_CONDITIONS)):
+        if not isinstance(d, dict):
+            raise ValueError("conditions[%d] must be a JSON object, got %r" % (i, d))
+        conditions.append(CorruptionSpec.from_dict(d))
     system_kinds = config.get("systems", list(SYSTEM_KINDS))
     if (not isinstance(system_kinds, list)
             or not all(k in SYSTEM_KINDS for k in system_kinds)):

@@ -34,14 +34,16 @@ os.register_at_fork(after_in_child=_forget_worker)
 
 
 def _single_threaded_blas():
-    """Make BLAS calls from the calling thread run on that thread alone.
+    """Make BLAS calls run single-threaded.
 
     The worker's BLAS calls overlap the main thread's; with both spread over
     OpenBLAS's pool, criterion-5-sized training ran about 1.4x slower on
     2 cores when OPENBLAS_NUM_THREADS was unset, and gave the same bits.
     Applies to each OpenBLAS mapped into the process (found through
     /proc/self/maps) that has `openblas_set_num_threads_local`; elsewhere,
-    it does nothing.
+    it does nothing.  Despite its name, in scipy-openblas 0.3.31 that call
+    pins the whole process, not the calling thread alone: once any thread
+    has made it, every thread's BLAS runs single-threaded.
     """
     try:
         with open("/proc/self/maps") as maps:

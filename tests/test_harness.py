@@ -1,7 +1,12 @@
 import ast
 import json
+import os
 import re
 import struct
+import subprocess
+import sys
+import threading
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -148,8 +153,10 @@ class TestDeriveSeed:
         assert 0 <= s < 2 ** 64
 
 
-GRID_CONDITIONS = DEFAULT_CONDITIONS + [{"kind": "band_limit",
-                                         "intermediate_rate": 8000}]
+# seven conditions, so three utterances give an odd number of cells
+GRID_CONDITIONS = DEFAULT_CONDITIONS + [
+    {"kind": "band_limit", "intermediate_rate": 8000},
+    {"kind": "band_limit", "intermediate_rate": 4000}]
 
 
 def single_cell(system, cspec, utt_id, path, base_seed, gl_iterations):
@@ -194,9 +201,10 @@ class TestEvaluateSystem:
     def test_grid_equals_single_cell_pipeline(self, small_corpus,
                                               quick_checkpoints):
         # every system x condition, band_limit included, against the
-        # pipeline run one cell at a time
-        entry = build_manifest(small_corpus).entries[0]
-        utts = [(entry.utt_id, entry.path)]
+        # pipeline run one cell at a time; 3 x 7 cells over the grading
+        # threads
+        entries = build_manifest(small_corpus).entries[:3]
+        utts = [(e.utt_id, e.path) for e in entries]
         conditions = [CorruptionSpec.from_dict(d) for d in GRID_CONDITIONS]
         for system in (EvalSystem("mel"),
                        EvalSystem("ae", quick_checkpoints["ae"]),
@@ -205,9 +213,80 @@ class TestEvaluateSystem:
                                     gl_iterations=6)
             assert list(cells) == [c.label for c in conditions]
             for cspec in conditions:
-                want = single_cell(system, cspec, entry.utt_id, entry.path, 5, 6)
-                assert cells[cspec.label] == {entry.utt_id: want}, \
-                    (system.kind, cspec.label)
+                assert list(cells[cspec.label]) == [u for u, _ in utts]
+                for e in entries:
+                    want = single_cell(system, cspec, e.utt_id, e.path, 5, 6)
+                    assert cells[cspec.label][e.utt_id] == want, \
+                        (system.kind, cspec.label, e.utt_id)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_cell_error_raised_after_every_cell(self, small_corpus, tmp_path,
+                                                monkeypatch, threads):
+        # ESTOI refuses the 0.2 s clip of the middle utterance
+        entries = build_manifest(small_corpus).entries[:2]
+        short = tmp_path / "short.wav"
+        write_wav(speechlike_utterance(make_rng(6), sample_rate=16000,
+                                       duration=0.2), short)
+        utts = [(entries[0].utt_id, entries[0].path), ("short", str(short)),
+                (entries[1].utt_id, entries[1].path)]
+        graded = []
+
+        def recording_estoi(clip, synth):
+            score = estoi(clip, synth)
+            graded.append(score)
+            return score
+
+        monkeypatch.setattr("sarlab.harness.estoi", recording_estoi)
+        outcome = {}
+
+        def run():
+            try:
+                evaluate_system(EvalSystem("mel"), [CorruptionSpec(kind="none")],
+                                utts, gl_iterations=6, threads=threads)
+            except ValueError as exc:
+                outcome["error"] = exc
+                outcome["graded"] = len(graded)
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        thread.join(timeout=120)
+        assert not thread.is_alive(), "evaluate_system hung"
+        assert "too short" in str(outcome["error"])
+        assert outcome["graded"] == 2  # both other cells were graded
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_decoded_cells_wait_in_a_bounded_buffer(self, small_corpus,
+                                                    monkeypatch, threads):
+        # grading is made the bottleneck; each mask cell is decoded with one
+        # corrupt call, so calls minus graded cells is what waits
+        entries = build_manifest(small_corpus).entries[:6]
+        utts = [(e.utt_id, e.path) for e in entries]
+        conditions = [CorruptionSpec(kind="mask", alpha=a)
+                      for a in (0.1, 0.2, 0.3, 0.4)]
+        lock = threading.Lock()
+        counts = {"decoded": 0, "graded": 0, "waiting": 0}
+
+        def counting_corrupt(x, spec):
+            with lock:
+                counts["decoded"] += 1
+                counts["waiting"] = max(counts["waiting"],
+                                        counts["decoded"] - counts["graded"])
+            return corrupt(x, spec)
+
+        def slow_estoi(clip, synth):
+            time.sleep(0.02)
+            score = estoi(clip, synth)
+            with lock:
+                counts["graded"] += 1
+            return score
+
+        monkeypatch.setattr("sarlab.harness.corrupt", counting_corrupt)
+        monkeypatch.setattr("sarlab.harness.estoi", slow_estoi)
+        evaluate_system(EvalSystem("mel"), conditions, utts, gl_iterations=2,
+                        threads=threads)
+        assert counts["graded"] == len(utts) * len(conditions)
+        # two per grading thread, plus the cell each shard is decoding
+        assert counts["waiting"] <= 2 * max(2, threads) + threads
 
     def test_mask_zero_equals_raw(self, small_corpus):
         m = build_manifest(small_corpus)
@@ -332,11 +411,47 @@ class TestExperiment:
             assert len(cell) == 2
             assert all(-1.0 <= s <= 1.0 for s in cell.values())
 
+    def test_reports_do_not_depend_on_earlier_blas_use(self, small_corpus,
+                                                       tmp_path):
+        # With OPENBLAS_NUM_THREADS unset, threaded BLAS gives mel features
+        # other bits than single-threaded BLAS, and the first BLSTM pins it
+        # for the whole process.  So in one fresh process, the first grid's
+        # mel system must already grade as every later one does.
+        paths = {}
+        for k, kind in enumerate(("ae", "sar")):
+            paths[kind] = str(tmp_path / ("%s.ckpt" % kind))
+            save_checkpoint(SarModel(SarConfig(fc_hidden=32, blstm_hidden=16,
+                                               latent_dim=16, dec_hidden=32),
+                                     seed=k), paths[kind])
+        script = """
+import json, sys
+from sarlab.harness import emit_report, run_table_experiment
+corpus, out, checkpoints = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])
+for run, threads in (("a", 1), ("b", 1), ("c", 3)):
+    config = {"dataset_root": corpus, "split_seed": 1, "n_eval_utts": 2,
+              "base_seed": 11, "threads": threads, "gl_iterations": 4,
+              "checkpoints": checkpoints, "output_dir": out + "/" + run}
+    emit_report(run_table_experiment(config), out + "/" + run)
+"""
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                            "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = str(ROOT / "src")
+        subprocess.run([sys.executable, "-c", script, str(small_corpus),
+                        str(tmp_path), json.dumps(paths)],
+                       env=env, check=True, timeout=300)
+        blobs = [(tmp_path / run / "report.json").read_bytes()
+                 for run in "abc"]
+        assert blobs[0] == blobs[1] == blobs[2]
+
     def test_mel_only_needs_no_checkpoint(self, small_corpus, tmp_path):
         cfg = toy_config(small_corpus, {}, tmp_path, systems=["mel"],
                          conditions=[{"kind": "none"}])
         table = run_table_experiment(cfg)
         assert list(table.scores) == [("mel", "raw")]
+
+
+DROP = object()  # a toy_config value that removes its key
 
 
 class TestConfigStrictness:
@@ -364,11 +479,17 @@ class TestConfigStrictness:
         ({"train": {"max_epochs": 2.0}}, "max_epochs must be an integer"),
         ({"conditions": [{"kind": "mask", "alpha": "0.1"}]},
          "alpha must be a number"),
+        ({"conditions": ["none"]},
+         r"conditions\[0\] must be a JSON object, got 'none'"),
+        ({"conditions": [{"kind": "none"}, 3]},
+         r"conditions\[1\] must be a JSON object"),
+        ({"dataset_root": DROP}, "dataset_root is required"),
     ])
     def test_refused_before_any_file_is_touched(self, tmp_path, extra, error):
         # the corpus does not exist: the config must fail before it is read
         out = tmp_path / "out"
-        cfg = toy_config(tmp_path / "absent", {}, out, **extra)
+        cfg = {k: v for k, v in toy_config(tmp_path / "absent", {}, out,
+                                           **extra).items() if v is not DROP}
         with pytest.raises(ValueError, match=error):
             run_table_experiment(cfg, train_first=True)
         assert not out.exists()
