@@ -7,7 +7,6 @@ import argparse
 import json
 import logging
 import os
-import shutil
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -76,11 +75,13 @@ def cmd_train(args) -> int:
 
 def cmd_corrupt(args) -> int:
     from .corruption import corrupt
-    from .dsp import MelSpectrogram, load_mel, read_wav, save_mel, write_wav
+    from .dsp import (MelSpectrogram, atomic_write, load_mel, read_wav,
+                      save_mel, write_wav)
     spec = _load_spec_arg(args.spec)
     src = Path(args.input)
     if spec.kind == "none":
-        shutil.copyfile(src, args.out)  # byte-identical
+        with atomic_write(args.out, "wb") as f:
+            f.write(src.read_bytes())  # byte-identical
         return 0
     if src.suffix == ".mel":
         mel = load_mel(src)
@@ -101,10 +102,11 @@ def cmd_synth(args) -> int:
     from .harness import front_end
     if bool(args.mel) == bool(args.wav):
         raise UsageError("provide exactly one of --mel or --wav")
+    if (args.via == "mel") == bool(args.ckpt):
+        raise UsageError("--via %s %s --ckpt" % (
+            args.via, "takes no" if args.ckpt else "requires"))
     model = None
-    if args.via in ("ae", "sar"):
-        if not args.ckpt:
-            raise UsageError("--via %s requires --ckpt" % args.via)
+    if args.ckpt:
         from .model import load_checkpoint
         model = load_checkpoint(args.ckpt)
     if args.mel:

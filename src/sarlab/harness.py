@@ -6,7 +6,6 @@ grid of corruptions applied to its conditioning features; scores are ESTOI
 against the ground-truth waveform.
 """
 
-import copy
 import csv
 import functools
 import hashlib
@@ -158,15 +157,15 @@ def evaluate_system(system: EvalSystem, conditions, utterances,
                     threads: int = 1) -> dict:
     """{condition label: {utt_id: ESTOI}} for `utterances`, [(utt_id, wav_path)].
 
-    `threads` shards the utterances.  Each shard, on its own thread with its
-    own model copy, reads each WAV once and computes its mel (and AE/SAR
-    latent) once per audio variant: the clean clip, or a band_limit
-    condition's clip.  Each (utterance, condition) cell it decodes goes to
+    The calling thread does the model work: it reads each WAV once and
+    computes its mel (and AE/SAR latent) once per audio variant, the clean
+    clip or a band_limit condition's clip, then corrupts and decodes each
+    (utterance, condition) cell.  Each decoded cell goes to a pool of
     max(2, threads) grading threads for Griffin-Lim and ESTOI; at most two
     cells per grading thread are decoded and not yet graded, so memory does
-    not grow with the grid.  A cell's score depends only on its own inputs,
-    so it is the same bits on any thread.  Every cell has finished before a
-    cell's error propagates.
+    not grow with the grid.  `threads` sizes only that pool.  A cell's score
+    depends only on its own inputs, so it is the same bits on any thread.
+    Every cell has finished before a cell's error propagates.
     """
     if not utterances:
         raise ValueError("no utterances to evaluate")
@@ -174,30 +173,6 @@ def evaluate_system(system: EvalSystem, conditions, utterances,
     _single_threaded_blas()
     model = load_checkpoint(system.checkpoint) if system.kind != "mel" else None
     n_mels = model.config.n_mels if model is not None else 80
-
-    def cells(shard):
-        """(label, utt_id, clip, decoded features, cfg, bank) of `shard`."""
-        # layers cache forward state, so each shard owns a model copy
-        local_model = copy.deepcopy(model)
-        for utt_id, path in shard:
-            clip = read_wav(path)
-            cfg, bank = front_end(clip.sample_rate, n_mels)
-            features = {}  # band_limit label, or None for the clean clip
-            for cspec in conditions:
-                local = replace(cspec, seed=derive_seed(
-                    base_seed, system.kind, cspec.label, utt_id))
-                variant = local.label if local.kind == "band_limit" else None
-                if variant not in features:
-                    audio = clip if variant is None else corrupt(clip, local)
-                    frames = mel_spectrogram(audio, cfg, bank).frames
-                    features[variant] = (frames if local_model is None
-                                         else local_model.encode(frames))
-                feats = features[variant]
-                if local.kind in ("mask", "white_noise"):
-                    feats = corrupt(feats, local)
-                if local_model is not None:
-                    feats = local_model.decode(feats)
-                yield cspec.label, utt_id, clip, feats, cfg, bank
 
     def grade(clip, feats, cfg, bank):
         synth = griffin_lim(MelSpectrogram(feats, clip.sample_rate, cfg.hop),
@@ -208,19 +183,28 @@ def evaluate_system(system: EvalSystem, conditions, utterances,
     slots = threading.BoundedSemaphore(2 * lanes)
     futures = {}
     with ThreadPoolExecutor(max_workers=lanes) as graders:
-        def run_shard(shard):
-            for label, utt_id, *cell in cells(shard):
+        for utt_id, path in utterances:
+            clip = read_wav(path)
+            cfg, bank = front_end(clip.sample_rate, n_mels)
+            features = {}  # band_limit label, or None for the clean clip
+            for cspec in conditions:
+                local = replace(cspec, seed=derive_seed(
+                    base_seed, system.kind, cspec.label, utt_id))
+                variant = local.label if local.kind == "band_limit" else None
+                if variant not in features:
+                    audio = clip if variant is None else corrupt(clip, local)
+                    frames = mel_spectrogram(audio, cfg, bank).frames
+                    features[variant] = (frames if model is None
+                                         else model.encode(frames))
+                feats = features[variant]
+                if local.kind in ("mask", "white_noise"):
+                    feats = corrupt(feats, local)
+                if model is not None:
+                    feats = model.decode(feats)
                 slots.acquire()
-                future = graders.submit(grade, *cell)
+                future = graders.submit(grade, clip, feats, cfg, bank)
                 future.add_done_callback(lambda _: slots.release())
-                futures[label, utt_id] = future
-
-        if threads <= 1:
-            run_shard(utterances)
-        else:
-            n = min(threads, len(utterances))
-            with ThreadPoolExecutor(max_workers=n) as pool:
-                list(pool.map(run_shard, [utterances[i::n] for i in range(n)]))
+                futures[cspec.label, utt_id] = future
     return {c.label: {utt_id: futures[c.label, utt_id].result()
                       for utt_id, _ in utterances}
             for c in conditions}

@@ -12,6 +12,7 @@ import csv
 import json
 import struct
 from dataclasses import dataclass, asdict, field, fields, replace
+from itertools import zip_longest
 
 import numpy as np
 
@@ -328,29 +329,36 @@ def load_checkpoint(path) -> SarModel:
         blob = f.read(meta_len)
         if len(blob) < meta_len:
             raise ValueError("corrupt checkpoint: truncated metadata in %s" % path)
-        meta = json.loads(blob.decode("utf-8"))
         try:
+            meta = json.loads(blob.decode("utf-8"))
+            for key in ("seed", "step"):
+                value = meta[key]
+                if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+                    raise ValueError("%s must be an integer >= 0, got %r" % (key, value))
             model = SarModel(SarConfig(**meta["config"]), seed=meta["seed"])
-        except (KeyError, TypeError, ValueError) as exc:
+            model.step, tensors = meta["step"], meta["tensors"]
+            # the config fixes every tensor's name, shape and place
+            layout = [[n, list(p.shape)] for n, p in model.named_params().items()]
+            if not isinstance(tensors, list):
+                raise ValueError("tensors must be a list, got %r" % (tensors,))
+            for got, want in zip_longest(tensors, layout):
+                if json.dumps(got) != json.dumps(want):  # so 1.0 or true is no 1
+                    raise ValueError("tensors lists %r where the config has %r"
+                                     % (got, want))
+        except KeyError as exc:
+            raise ValueError("corrupt checkpoint: metadata lacks %s in %s"
+                             % (exc, path)) from exc
+        except (TypeError, ValueError) as exc:
             raise ValueError("corrupt checkpoint: bad metadata (%s) in %s"
                              % (exc, path)) from exc
-        model.step = meta["step"]
-        expected = model.named_params()
         flat = {}
-        for name, shape in meta["tensors"]:
-            if name not in expected:
-                raise ValueError("checkpoint tensor %s not in model" % name)
-            if list(expected[name].shape) != shape:
-                raise ValueError("checkpoint tensor %s has shape %s, model wants %s"
-                                 % (name, shape, list(expected[name].shape)))
-            count = int(np.prod(shape)) if shape else 1
+        for name, shape in layout:
+            count = int(np.prod(shape))
             raw = f.read(4 * count)
             if len(raw) != 4 * count:
-                raise ValueError("corrupt checkpoint: truncated tensor %s" % name)
+                raise ValueError("corrupt checkpoint: truncated tensor %s in %s"
+                                 % (name, path))
             flat[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
-        missing = set(expected) - set(flat)
-        if missing:
-            raise ValueError("checkpoint missing tensors: %s" % sorted(missing))
         if f.read(1):
             raise ValueError("corrupt checkpoint: trailing bytes in %s" % path)
     model.set_params(flat)

@@ -150,6 +150,19 @@ class TestCorrupt:
         assert rc == 0
         assert out.read_bytes() == two_second_wav.read_bytes()
 
+    def test_none_replaces_out_whole(self, two_second_wav, tmp_path):
+        # a reader of the old file keeps reading it: `--out` is replaced,
+        # not rewritten in place
+        out = tmp_path / "copy.wav"
+        out.write_bytes(b"old bytes")
+        with open(out, "rb") as reader:
+            rc = main(["corrupt", "--in", str(two_second_wav),
+                       "--spec", '{"kind": "none"}', "--out", str(out)])
+            assert rc == 0
+            assert reader.read() == b"old bytes"
+        assert out.read_bytes() == two_second_wav.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["clip.wav", "copy.wav"]
+
     def test_band_limit_on_mel_rejected(self, two_second_wav, tmp_path):
         mels = tmp_path / "mels"
         main(["features", "--in", str(two_second_wav), "--out", str(mels)])
@@ -225,6 +238,15 @@ class TestSynth:
         rc = main(["synth", "--wav", str(two_second_wav), "--via", "sar",
                    "--out", str(tmp_path / "x.wav")])
         assert rc == 2
+
+    def test_mel_refuses_ckpt(self, two_second_wav, tmp_path, capsys):
+        out = tmp_path / "x.wav"
+        rc = main(["synth", "--wav", str(two_second_wav), "--ckpt",
+                   str(tmp_path / "m.ckpt"), "--out", str(out),
+                   "--gl-iterations", "2"])
+        assert rc == 2
+        assert "--via mel takes no --ckpt" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unwritable_out_names_the_given_path(self, two_second_wav,
                                                  tmp_path, capsys):

@@ -285,8 +285,31 @@ class TestEvaluateSystem:
         evaluate_system(EvalSystem("mel"), conditions, utts, gl_iterations=2,
                         threads=threads)
         assert counts["graded"] == len(utts) * len(conditions)
-        # two per grading thread, plus the cell each shard is decoding
-        assert counts["waiting"] <= 2 * max(2, threads) + threads
+        # two per grading thread, plus the cell the calling thread decodes
+        assert counts["waiting"] <= 2 * max(2, threads) + 1
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_model_work_runs_on_the_calling_thread(self, small_corpus,
+                                                   quick_checkpoints,
+                                                   monkeypatch, threads):
+        entries = build_manifest(small_corpus).entries[:4]
+        utts = [(e.utt_id, e.path) for e in entries]
+        callers = []
+
+        def on_thread(method):
+            def call(self, x):
+                callers.append(threading.get_ident())
+                return method(self, x)
+            return call
+
+        for name in ("encode", "decode"):
+            monkeypatch.setattr(SarModel, name, on_thread(getattr(SarModel, name)))
+        evaluate_system(EvalSystem("sar", quick_checkpoints["sar"]),
+                        [CorruptionSpec(kind="none"),
+                         CorruptionSpec(kind="mask", alpha=0.2)],
+                        utts, gl_iterations=2, threads=threads)
+        assert len(callers) == len(utts) * 3  # one encode, two decodes
+        assert set(callers) == {threading.get_ident()}
 
     def test_mask_zero_equals_raw(self, small_corpus):
         m = build_manifest(small_corpus)

@@ -455,3 +455,24 @@ class TestCheckpointStrictness:
         with pytest.raises(ValueError,
                            match=r"corrupt checkpoint: .*%s.* in .*x\.ckpt" % error):
             load_bytes(raw)
+
+    @pytest.mark.parametrize("edit, error", [
+        (lambda meta: meta.pop("step"), "lacks 'step'"),
+        (lambda meta: meta.update(step="x"), "step must be an integer >= 0"),
+        (lambda meta: meta.update(step=-1), "step must be an integer >= 0"),
+        (lambda meta: meta.update(step=True), "step must be an integer >= 0"),
+        (lambda meta: meta.update(seed=None), "seed must be an integer >= 0"),
+        (lambda meta: meta.pop("tensors"), "lacks 'tensors'"),
+        (lambda meta: meta.update(tensors=[["x"]]), r"tensors lists \['x'\]"),
+        (lambda meta: meta.update(tensors={}), "tensors must be a list"),
+        (lambda meta: meta["tensors"].pop(), "tensors lists None"),
+        (lambda meta: meta["tensors"].append(["x", [1]]), "the config has None"),
+        (lambda meta: meta["tensors"].reverse(), "tensors lists"),
+        (lambda meta: meta["tensors"][0][1].__setitem__(0, 1.0), "tensors lists"),
+    ], ids=["no_step", "str_step", "negative_step", "bool_step", "null_seed",
+            "no_tensors", "short_entry", "dict_tensors", "missing_entry",
+            "extra_entry", "reordered", "float_dim"])
+    def test_bad_seed_step_or_tensors_rejected(self, tiny_ckpt, edit, error):
+        with pytest.raises(ValueError,
+                           match=r"corrupt checkpoint: .*%s.* in .*x\.ckpt" % error):
+            load_bytes(edit_meta(tiny_ckpt, edit))
