@@ -11,4 +11,9 @@ Subpackages:
     cli        -- the `sarlab` command
 """
 
+from . import nn
+
 __version__ = "0.1.0"
+
+# one BLAS thread for the whole process, before any submodule computes
+nn._single_threaded_blas()

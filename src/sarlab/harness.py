@@ -26,7 +26,7 @@ from .dsp import (MelSpectrogram, StftConfig, atomic_write, griffin_lim,
 from .metrics import estoi
 from .model import (SarConfig, TrainConfig, load_checkpoint, save_checkpoint,
                     train_autoencoder)
-from .nn import _single_threaded_blas, make_rng
+from .nn import make_rng
 
 log = logging.getLogger(__name__)
 
@@ -164,13 +164,13 @@ def evaluate_system(system: EvalSystem, conditions, utterances,
     max(2, threads) grading threads for Griffin-Lim and ESTOI; at most two
     cells per grading thread are decoded and not yet graded, so memory does
     not grow with the grid.  `threads` sizes only that pool.  A cell's score
-    depends only on its own inputs, so it is the same bits on any thread.
-    Every cell has finished before a cell's error propagates.
+    depends only on its own inputs, so it is the same bits on any thread,
+    and BLAS is pinned to one thread when `sarlab` is imported, so it is the
+    same bits whatever ran before in the process.  Every cell has finished
+    before a cell's error propagates.
     """
     if not utterances:
         raise ValueError("no utterances to evaluate")
-    # threaded BLAS gives mel features other last bits than a pinned one
-    _single_threaded_blas()
     model = load_checkpoint(system.checkpoint) if system.kind != "mel" else None
     n_mels = model.config.n_mels if model is not None else 80
 
@@ -296,6 +296,13 @@ def run_table_experiment(config: dict, train_first: bool = False) -> ReportTable
     sar_cfg, schedule, train_limit = read_training(config)
     if "dataset_root" not in config:
         raise ValueError("dataset_root is required: the corpus directory")
+    checkpoints = config.get("checkpoints", {})
+    check_keys(checkpoints, ("ae", "sar"), "checkpoints")
+    strings = [(k, config.get(k, "")) for k in ("dataset_root", "output_dir")]
+    strings += [("checkpoints." + k, v) for k, v in checkpoints.items()]
+    for key, value in strings:
+        if not isinstance(value, str):
+            raise ValueError("%s must be a string, got %r" % (key, value))
     conditions = []
     for i, d in enumerate(config.get("conditions", DEFAULT_CONDITIONS)):
         if not isinstance(d, dict):
@@ -306,7 +313,7 @@ def run_table_experiment(config: dict, train_first: bool = False) -> ReportTable
             or not all(k in SYSTEM_KINDS for k in system_kinds)):
         raise ValueError("systems must be a list of %s, got %r"
                          % ("/".join(SYSTEM_KINDS), system_kinds))
-    checkpoints = dict(config.get("checkpoints", {}))
+    checkpoints = dict(checkpoints)
     need_ckpt = [k for k in system_kinds if k != "mel" and k not in checkpoints]
     if need_ckpt and not train_first:
         raise ValueError("missing checkpoints for %s (pass train_first)" % need_ckpt)

@@ -331,10 +331,15 @@ def load_checkpoint(path) -> SarModel:
             raise ValueError("corrupt checkpoint: truncated metadata in %s" % path)
         try:
             meta = json.loads(blob.decode("utf-8"))
+            if not isinstance(meta, dict):
+                raise ValueError("metadata must be a JSON object, got %r" % (meta,))
             for key in ("seed", "step"):
                 value = meta[key]
                 if isinstance(value, bool) or not isinstance(value, int) or value < 0:
                     raise ValueError("%s must be an integer >= 0, got %r" % (key, value))
+            if not isinstance(meta["config"], dict):
+                raise ValueError("config must be a JSON object, got %r"
+                                 % (meta["config"],))
             model = SarModel(SarConfig(**meta["config"]), seed=meta["seed"])
             model.step, tensors = meta["step"], meta["tensors"]
             # the config fixes every tensor's name, shape and place

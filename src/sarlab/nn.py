@@ -9,41 +9,25 @@ checking.
 
 import ctypes
 import logging
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.special import expit
 
 log = logging.getLogger(__name__)
 
-# The one worker thread that runs each Bilstm's reverse direction, made on
-# first use.  A forked child has none of its parent's threads, so it starts
-# afresh.
-_worker = None
-_worker_lock = threading.Lock()
-
-
-def _forget_worker():
-    global _worker, _worker_lock
-    _worker, _worker_lock = None, threading.Lock()
-
-
-os.register_at_fork(after_in_child=_forget_worker)
-
 
 def _single_threaded_blas():
-    """Make BLAS calls run single-threaded.
+    """Make BLAS calls run single-threaded; `sarlab` calls this on import.
 
-    The worker's BLAS calls overlap the main thread's; with both spread over
-    OpenBLAS's pool, criterion-5-sized training ran about 1.4x slower on
-    2 cores when OPENBLAS_NUM_THREADS was unset, and gave the same bits.
-    Applies to each OpenBLAS mapped into the process (found through
-    /proc/self/maps) that has `openblas_set_num_threads_local`; elsewhere,
-    it does nothing.  Despite its name, in scipy-openblas 0.3.31 that call
-    pins the whole process, not the calling thread alone: once any thread
-    has made it, every thread's BLAS runs single-threaded.
+    Concurrent BLAS calls (a BLSTM's two directions, the grading pool) that
+    spread over OpenBLAS's pool ran criterion-5-sized training about 1.4x
+    slower on 2 cores when OPENBLAS_NUM_THREADS was unset, and threaded BLAS
+    gives mel features other last bits than a pinned one.  Applies to each
+    OpenBLAS mapped into the process (found through /proc/self/maps;
+    importing this module maps numpy's and scipy's) that has
+    `openblas_set_num_threads_local`; elsewhere, it does nothing.  Despite
+    its name, in scipy-openblas 0.3.31 that call pins the whole process.
     """
     try:
         with open("/proc/self/maps") as maps:
@@ -61,22 +45,16 @@ def _single_threaded_blas():
 
 
 def _concurrently(main, side):
-    """(main(), side()), with `side` run on the worker thread meanwhile.
+    """(main(), side()), with `side` run meanwhile on a thread of its own.
 
     numpy, scipy's ufuncs and BLAS release the GIL, so the two overlap.
-    Both have finished before either's exception propagates.
+    Leaving the `with` block joins that thread, so both have finished before
+    either's exception propagates, and no thread outlives the call.
     """
-    global _worker
-    with _worker_lock:
-        if _worker is None:
-            _worker = ThreadPoolExecutor(max_workers=1,
-                                         thread_name_prefix="sarlab-bilstm",
-                                         initializer=_single_threaded_blas)
-        future = _worker.submit(side)
-    try:
+    with ThreadPoolExecutor(max_workers=1,
+                            thread_name_prefix="sarlab-bilstm") as worker:
+        future = worker.submit(side)
         out = main()
-    finally:
-        wait([future])
     return out, future.result()
 
 
@@ -269,7 +247,8 @@ class Bilstm(Layer):
 
     `bwd` runs on the time-reversed input, and its output and input gradient
     are reversed back here: only Bilstm knows about direction.  The two
-    directions share no state, so the reverse one runs on a worker thread
+    directions share no state, so each forward and backward call runs the
+    reverse one on a thread of its own, joined before the call returns,
     while the calling thread runs the forward one; each does exactly the
     arithmetic it would do alone.
     """

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from sarlab.harness import build_manifest, load_mels, split_dataset
@@ -6,6 +11,18 @@ from sarlab.speechlike import make_corpus
 
 SMALL_SAR = SarConfig(fc_hidden=32, n_fc_enc=2, blstm_hidden=16,
                       n_blstm=2, latent_dim=16, dec_hidden=32, alpha_max=0.2)
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def run_fresh(script, *args, **env):
+    """stdout of `script` run by a fresh interpreter, with `args` as its
+    sys.argv[1:], sarlab imported from src/, and no BLAS thread variable set
+    but those in `env`."""
+    clean = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    clean.update(env, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    return subprocess.run([sys.executable, "-c", script, *map(str, args)],
+                          env=clean, check=True, timeout=300,
+                          stdout=subprocess.PIPE, text=True).stdout
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -436,13 +436,18 @@ class TestExperimentCmd:
         ({"sar_config": {"fc_hidden": "8"}}, "fc_hidden must be an integer"),
         ({"conditions": [{"kind": "mask", "alpha": "0.1"}]},
          "alpha must be a number"),
+        ({"dataset_root": 5}, "dataset_root must be a string"),
+        ({"output_dir": 5}, "output_dir must be a string"),
+        ({"checkpoints": "abc"}, "checkpoints must be a JSON object"),
+        ({"checkpoints": {"sarr": "x.ckpt"}}, "unknown checkpoints key.*sarr"),
+        ({"checkpoints": {"ae": 7}}, "checkpoints.ae must be a string"),
     ])
     def test_bad_config_refused_before_writing(self, small_corpus, tmp_path,
                                                capsys, config, key):
         out_dir = tmp_path / "out"
         if isinstance(config, dict):
-            config = dict(config, dataset_root=str(small_corpus),
-                          output_dir=str(out_dir))
+            config = dict({"dataset_root": str(small_corpus),
+                           "output_dir": str(out_dir)}, **config)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         rc = main(["experiment", "--config", str(cfg), "--train-first"])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import run_fresh
 from sarlab.dsp import (
     AudioClip,
     ComplexSpectrogram,
@@ -30,6 +31,8 @@ from sarlab.dsp import (
     wav_duration,
     write_wav,
 )
+from sarlab.nn import make_rng
+from sarlab.speechlike import speechlike_utterance
 
 
 def tone(freq, sr=16000, dur=1.0, amp=0.5):
@@ -354,6 +357,22 @@ class TestMel:
         (tmp_path / "t.mel").write_bytes(raw[:-8])
         with pytest.raises(ValueError, match="truncated"):
             load_mel(tmp_path / "t.mel")
+
+    def test_bits_do_not_depend_on_blas_thread_variables(self, tmp_path):
+        # threaded BLAS gives this clip's mel other last bits than a pinned
+        # one; importing sarlab.dsp alone must already pin it
+        path = tmp_path / "clip.wav"
+        write_wav(speechlike_utterance(make_rng(0)), path)
+        script = """
+import hashlib, sys
+from sarlab.dsp import StftConfig, mel_filterbank, mel_spectrogram, read_wav
+clip = read_wav(sys.argv[1])
+cfg = StftConfig.for_rate(clip.sample_rate)
+bank = mel_filterbank(clip.sample_rate, cfg.fft_size, 80)
+print(hashlib.sha256(mel_spectrogram(clip, cfg, bank).frames).hexdigest())
+"""
+        assert (run_fresh(script, path)
+                == run_fresh(script, path, OPENBLAS_NUM_THREADS="1"))
 
 
 def load_mel_bytes(raw):

@@ -1,10 +1,7 @@
 import ast
 import json
-import os
 import re
 import struct
-import subprocess
-import sys
 import threading
 import time
 from dataclasses import replace
@@ -13,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import run_fresh
 from sarlab.corruption import CorruptionSpec, corrupt
 from sarlab.dsp import (MelSpectrogram, StftConfig, griffin_lim, mel_filterbank,
                         mel_spectrogram, read_wav, save_mel, write_wav)
@@ -456,13 +454,7 @@ for run, threads in (("a", 1), ("b", 1), ("c", 3)):
               "checkpoints": checkpoints, "output_dir": out + "/" + run}
     emit_report(run_table_experiment(config), out + "/" + run)
 """
-        env = {k: v for k, v in os.environ.items()
-               if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
-                            "OMP_NUM_THREADS")}
-        env["PYTHONPATH"] = str(ROOT / "src")
-        subprocess.run([sys.executable, "-c", script, str(small_corpus),
-                        str(tmp_path), json.dumps(paths)],
-                       env=env, check=True, timeout=300)
+        run_fresh(script, small_corpus, tmp_path, json.dumps(paths))
         blobs = [(tmp_path / run / "report.json").read_bytes()
                  for run in "abc"]
         assert blobs[0] == blobs[1] == blobs[2]
@@ -507,12 +499,18 @@ class TestConfigStrictness:
         ({"conditions": [{"kind": "none"}, 3]},
          r"conditions\[1\] must be a JSON object"),
         ({"dataset_root": DROP}, "dataset_root is required"),
+        ({"dataset_root": 5}, "dataset_root must be a string, got 5"),
+        ({"output_dir": 5}, "output_dir must be a string, got 5"),
+        ({"checkpoints": "abc"}, "checkpoints must be a JSON object, got 'abc'"),
+        ({"checkpoints": {"sarr": "x.ckpt"}},
+         r"unknown checkpoints key\(s\): sarr \(known: ae, sar\)"),
+        ({"checkpoints": {"ae": 7}}, "checkpoints.ae must be a string, got 7"),
     ])
     def test_refused_before_any_file_is_touched(self, tmp_path, extra, error):
         # the corpus does not exist: the config must fail before it is read
         out = tmp_path / "out"
-        cfg = {k: v for k, v in toy_config(tmp_path / "absent", {}, out,
-                                           **extra).items() if v is not DROP}
+        cfg = dict(toy_config(tmp_path / "absent", {}, out), **extra)
+        cfg = {k: v for k, v in cfg.items() if v is not DROP}
         with pytest.raises(ValueError, match=error):
             run_table_experiment(cfg, train_first=True)
         assert not out.exists()

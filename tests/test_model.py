@@ -403,10 +403,14 @@ class TestCheckpoint:
 
 
 def edit_meta(raw, edit):
-    """Checkpoint bytes `raw` with `edit(meta)` applied to their metadata."""
+    """Checkpoint bytes `raw` with `edit(meta)` applied to their metadata, or
+    with `edit` in its place if it is no function."""
     (meta_len,) = struct.unpack("<I", raw[8:12])
     meta = json.loads(raw[12:12 + meta_len])
-    edit(meta)
+    if callable(edit):
+        edit(meta)
+    else:
+        meta = edit
     blob = json.dumps(meta).encode()
     return raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + meta_len:]
 
@@ -469,9 +473,13 @@ class TestCheckpointStrictness:
         (lambda meta: meta["tensors"].append(["x", [1]]), "the config has None"),
         (lambda meta: meta["tensors"].reverse(), "tensors lists"),
         (lambda meta: meta["tensors"][0][1].__setitem__(0, 1.0), "tensors lists"),
+        ([], r"metadata must be a JSON object, got \[\]"),
+        (lambda meta: meta.update(config=[]),
+         r"config must be a JSON object, got \[\]"),
     ], ids=["no_step", "str_step", "negative_step", "bool_step", "null_seed",
             "no_tensors", "short_entry", "dict_tensors", "missing_entry",
-            "extra_entry", "reordered", "float_dim"])
+            "extra_entry", "reordered", "float_dim", "list_metadata",
+            "list_config"])
     def test_bad_seed_step_or_tensors_rejected(self, tiny_ckpt, edit, error):
         with pytest.raises(ValueError,
                            match=r"corrupt checkpoint: .*%s.* in .*x\.ckpt" % error):

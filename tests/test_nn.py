@@ -255,6 +255,16 @@ class TestBilstmConcurrency:
         y = fresh.forward(x)
         assert np.array_equal(y[..., 2:], fresh.bwd.forward(x[:, ::-1])[:, ::-1])
 
+    def test_no_thread_outlives_the_call(self):
+        rng = make_rng(3)
+        layer = Bilstm(3, 2, rng=rng)
+        x = rng.standard_normal((2, 4, 3)).astype(np.float32)
+        for call in (lambda: layer.forward(x),
+                     lambda: layer.backward(np.ones((2, 4, 4), np.float32))):
+            call()
+            assert not [t.name for t in threading.enumerate()
+                        if t.name.startswith("sarlab-bilstm")]
+
     def test_worker_runs_after_fork(self):
         layer, x, _ = c5_blstm_case(3)
         x = x[:2, :10]
