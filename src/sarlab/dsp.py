@@ -253,63 +253,87 @@ def _window(fft_size: int) -> np.ndarray:
     return win
 
 
-def overlap_add(chunks: np.ndarray, hop: int) -> np.ndarray:
+def overlap_add(chunks: np.ndarray, hop: int,
+                out: np.ndarray | None = None) -> np.ndarray:
     """Sum rows of `chunks` placed `hop` samples apart.
 
     Each output sample adds its rows in ascending row order, as a loop of
     ``y[t*hop:t*hop+n] += chunks[t]`` over ``t`` does, so the result has the
     loop's bits.  Rows are cut into ceil(n/hop) hop-long blocks (zero-padded;
     adding +0.0 leaves a sum unchanged) and block j of every row is added in
-    one slice, for j from the last block down to the first.
+    one slice, for j from the last block down to the first.  The sums go to
+    `out`, an (n_rows + blocks - 1, hop) accumulator zeroed first, if given;
+    the result is a view of it.
     """
     n_rows, n = chunks.shape
     k = -(-n // hop)
     if k * hop != n:
         chunks = np.pad(chunks, ((0, 0), (0, k * hop - n)))
     blocks = chunks.reshape(n_rows, k, hop)
-    y = np.zeros((n_rows + k - 1, hop))
+    if out is None:
+        out = np.zeros((n_rows + k - 1, hop))
+    else:
+        out.fill(0.0)
     for j in range(k - 1, -1, -1):
-        y[j:j + n_rows] += blocks[:, j]
-    return y.reshape(-1)[:(n_rows - 1) * hop + n]
+        out[j:j + n_rows] += blocks[:, j]
+    return out.reshape(-1)[:(n_rows - 1) * hop + n]
 
 
 class _Framing:
     """Framing of `n_frames` centered STFT frames under one StftConfig.
 
-    Holds the window and the frame layout; the overlap-add normaliser that
-    synthesis divides by is built on the first synthesis, so analysis never
-    pays for it.  `stft` and `istft` build one per call; `griffin_lim` builds
-    one and reuses it for every iteration.
+    Holds the window, the frame layout and the buffers that analysis and
+    synthesis work in.  The reflect index and the padded signal are built on
+    the first analysis, the overlap-add normaliser and accumulator on the
+    first synthesis, so `stft` never pays for synthesis state.  `stft` and
+    `istft` build one per call; `griffin_lim` builds one and runs every
+    iteration in its buffers.  So `synthesise` returns a view of its
+    accumulator, which the next synthesis overwrites.
     """
 
     def __init__(self, config: StftConfig, n_frames: int):
         self.config = config
         self.n_frames = n_frames
         self.window = _window(config.fft_size)
+        self._padded = None
 
     def analyse(self, x: np.ndarray) -> np.ndarray:
         """(n_frames, n_bins) spectrum of unpadded samples `x`, whose length
-        must give n_frames centered frames."""
+        must give n_frames centered frames; every call on one framing passes
+        the same length."""
         n_fft, hop = self.config.fft_size, self.config.hop
         pad = n_fft // 2
-        xp = np.pad(x, pad, mode="reflect") if x.size > 1 else np.pad(x, pad)
-        frames = sliding_window_view(xp, n_fft)[::hop]
-        return np.fft.rfft(frames * self.window, n=n_fft, axis=1)
+        if self._padded is None:
+            self._padded = np.zeros(x.size + 2 * pad)
+            # a single sample is zero-padded: there is nothing to reflect
+            self._source = (np.pad(np.arange(x.size), pad, mode="reflect")
+                            if x.size > 1 else None)
+            self._frames = sliding_window_view(self._padded, n_fft)[::hop]
+            self._windowed = np.empty(self._frames.shape)
+        if self._source is None:
+            self._padded[pad] = x[0]
+        else:  # every index is in range; "clip" writes to `out` unbuffered
+            np.take(x, self._source, out=self._padded, mode="clip")
+        np.multiply(self._frames, self.window, out=self._windowed)
+        # no `out=`: numpy.fft takes one only from numpy 2.0
+        return np.fft.rfft(self._windowed, n=n_fft, axis=1)
 
     @functools.cached_property
-    def _normaliser(self):
-        win = self.window
+    def _synthesis(self):
+        """(wsum, wsum > 1e-10, overlap-add accumulator) of this framing."""
+        win, hop = self.window, self.config.hop
         wsum = overlap_add(np.broadcast_to(win * win, (self.n_frames, win.size)),
-                           self.config.hop)
-        return wsum, wsum > 1e-10
+                           hop)
+        blocks = -(-win.size // hop)
+        return wsum, wsum > 1e-10, np.empty((self.n_frames + blocks - 1, hop))
 
     def synthesise(self, frames: np.ndarray) -> np.ndarray:
         """Overlap-add inverse of `analyse`, center padding trimmed."""
         n_fft = self.config.fft_size
         chunks = np.fft.irfft(frames, n=n_fft, axis=1)
         chunks *= self.window
-        y = overlap_add(chunks, self.config.hop)
-        wsum, good = self._normaliser
+        wsum, good, acc = self._synthesis
+        y = overlap_add(chunks, self.config.hop, out=acc)
         np.divide(y, wsum, out=y, where=good)
         pad = n_fft // 2
         return y[pad:y.size - pad] if y.size > 2 * pad else y
@@ -435,11 +459,12 @@ def griffin_lim(mel: MelSpectrogram, config: StftConfig, bank: MelFilterBank,
         target = target[idx]
     framing = _Framing(StftConfig(config.fft_size, synth_hop), target.shape[0])
     spec = target.astype(np.complex128)  # zero phase
+    est_mag = np.empty(target.shape)
     for _ in range(iterations):
         est = framing.analyse(framing.synthesise(spec))
-        est_mag = np.abs(est)
+        np.abs(est, out=est_mag)
         np.multiply(target, est, out=est)
-        spec = np.divide(est, np.maximum(est_mag, 1e-12), out=est)
+        spec = np.divide(est, np.maximum(est_mag, 1e-12, out=est_mag), out=est)
     return AudioClip(framing.synthesise(spec)[:span], mel.sample_rate)
 
 

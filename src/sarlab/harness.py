@@ -313,6 +313,12 @@ def run_table_experiment(config: dict, train_first: bool = False) -> ReportTable
             or not all(k in SYSTEM_KINDS for k in system_kinds)):
         raise ValueError("systems must be a list of %s, got %r"
                          % ("/".join(SYSTEM_KINDS), system_kinds))
+    if not system_kinds:
+        raise ValueError("systems must name at least one of %s"
+                         % "/".join(SYSTEM_KINDS))
+    repeated = sorted({k for k in system_kinds if system_kinds.count(k) > 1})
+    if repeated:
+        raise ValueError("systems lists %s more than once" % ", ".join(repeated))
     checkpoints = dict(checkpoints)
     need_ckpt = [k for k in system_kinds if k != "mel" and k not in checkpoints]
     if need_ckpt and not train_first:

@@ -8,6 +8,7 @@ correlation.  Higher is better; the score never exceeds 1.
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import get_window
 
 from .dsp import AudioClip, feature_hop, overlap_add, resample
@@ -21,6 +22,7 @@ FIRST_CENTER_HZ = 150.0
 SEG_LEN = 30
 DYN_RANGE_DB = 40.0
 NORM_EPS = 1e-12
+SEG_BLOCK = 512  # segments normalised per pass: bounds memory on long clips
 
 
 def _strip_digital_silence(ref: np.ndarray, deg: np.ndarray):
@@ -79,16 +81,24 @@ def _band_spectrogram(x: np.ndarray):
     return np.sqrt(spec @ _BAND_MATRIX.T).T  # (bands, T)
 
 
-def _normalize_rows_then_cols(seg: np.ndarray):
-    seg = seg - seg.mean(axis=1, keepdims=True)
-    seg = seg / (np.linalg.norm(seg, axis=1, keepdims=True) + NORM_EPS)
-    seg = seg - seg.mean(axis=0, keepdims=True)
-    seg = seg / (np.linalg.norm(seg, axis=0, keepdims=True) + NORM_EPS)
+def _normalized_segments(windows: np.ndarray):
+    """Copy of (n_seg, N_BANDS, SEG_LEN) `windows` of a band spectrogram, each
+    segment's rows then its columns mean-removed and unit-normed.
+
+    Each window is laid out as a slice of the spectrogram is, so every mean and
+    norm sums in the order that normalising the slices one at a time would."""
+    seg = windows - windows.mean(axis=2, keepdims=True)
+    seg /= np.linalg.norm(seg, axis=2, keepdims=True) + NORM_EPS
+    seg -= seg.mean(axis=1, keepdims=True)
+    seg /= np.linalg.norm(seg, axis=1, keepdims=True) + NORM_EPS
     return seg
 
 
 def estoi(reference: AudioClip, degraded: AudioClip) -> float:
-    """Extended short-time objective intelligibility of `degraded` vs `reference`."""
+    """Extended short-time objective intelligibility of `degraded` vs `reference`.
+
+    Segments are scored SEG_BLOCK at a time, so the working memory beyond the
+    band spectrograms stays under 10 MB however long the clips are."""
     if reference.sample_rate != degraded.sample_rate:
         raise ValueError("sample-rate mismatch: %d vs %d"
                          % (reference.sample_rate, degraded.sample_rate))
@@ -111,9 +121,11 @@ def estoi(reference: AudioClip, degraded: AudioClip) -> float:
     if t_frames < SEG_LEN:
         raise ValueError("too short: %d analysis frames, need %d"
                          % (t_frames, SEG_LEN))
-    scores = []
-    for m in range(SEG_LEN, t_frames + 1):
-        xs = _normalize_rows_then_cols(x[:, m - SEG_LEN:m])
-        ys = _normalize_rows_then_cols(y[:, m - SEG_LEN:m])
-        scores.append(float(np.sum(xs * ys)) / SEG_LEN)
-    return float(np.mean(scores))
+    # (n_seg, N_BANDS, SEG_LEN) strided views: no copy
+    xw = sliding_window_view(x, SEG_LEN, axis=1).transpose(1, 0, 2)
+    yw = sliding_window_view(y, SEG_LEN, axis=1).transpose(1, 0, 2)
+    sums = np.concatenate([
+        (_normalized_segments(xw[i:i + SEG_BLOCK])
+         * _normalized_segments(yw[i:i + SEG_BLOCK])).sum(axis=(1, 2))
+        for i in range(0, len(xw), SEG_BLOCK)])
+    return float(np.mean(sums / SEG_LEN))

@@ -441,6 +441,8 @@ class TestExperimentCmd:
         ({"checkpoints": "abc"}, "checkpoints must be a JSON object"),
         ({"checkpoints": {"sarr": "x.ckpt"}}, "unknown checkpoints key.*sarr"),
         ({"checkpoints": {"ae": 7}}, "checkpoints.ae must be a string"),
+        ({"systems": ["mel", "mel"]}, "systems lists mel more than once"),
+        ({"systems": []}, "systems must name at least one"),
     ])
     def test_bad_config_refused_before_writing(self, small_corpus, tmp_path,
                                                capsys, config, key):

@@ -644,6 +644,30 @@ class TestFramingMatchesReference:
         assert np.array_equal(np.signbit(overlap_add(chunks, hop)),
                               np.signbit(ref_overlap_add(chunks, hop)))
 
+    @given(rate=st.sampled_from([8000, 16000, 22050, 44100]),
+           t=st.integers(2, 40), iterations=st.integers(1, 4),
+           n_mels=st.sampled_from([40, 80]), sparse=st.booleans(),
+           seed=st.integers(0, 2 ** 16))
+    @example(rate=16000, t=2, iterations=2, n_mels=80, sparse=False, seed=0)
+    @example(rate=44100, t=2, iterations=3, n_mels=80, sparse=True, seed=1)
+    @example(rate=8000, t=3, iterations=4, n_mels=40, sparse=False, seed=2)
+    @example(rate=22050, t=3, iterations=1, n_mels=80, sparse=True, seed=3)
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_griffin_lim_reuses_buffers_with_the_same_bits(
+            self, rate, t, iterations, n_mels, sparse, seed):
+        # T <= 3 gives a synthesis signal shorter than the reflect padding
+        cfg = StftConfig.for_rate(rate)
+        bank = mel_filterbank(rate, cfg.fft_size, n_mels)
+        frames = make_rng(seed).uniform(np.log(MEL_FLOOR), 1.0, (t, n_mels))
+        if sparse:  # every other band at the floor: the pinv goes negative
+            frames[:, 1::2] = np.log(MEL_FLOOR)
+        mel = MelSpectrogram(frames, rate, cfg.hop)
+        if sparse:
+            assert np.any(mel_to_linear(mel, bank) == 0.0)
+        out = griffin_lim(mel, cfg, bank, iterations=iterations)
+        expect = ref_griffin_lim(mel, cfg, bank, iterations)
+        assert out.samples.tobytes() == expect.tobytes()
+
     def test_bank_pinv_cached(self):
         bank = mel_filterbank(16000, 1024, 80)
         assert np.array_equal(bank.pinv, np.linalg.pinv(bank.weights))

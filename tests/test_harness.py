@@ -505,6 +505,9 @@ class TestConfigStrictness:
         ({"checkpoints": {"sarr": "x.ckpt"}},
          r"unknown checkpoints key\(s\): sarr \(known: ae, sar\)"),
         ({"checkpoints": {"ae": 7}}, "checkpoints.ae must be a string, got 7"),
+        ({"systems": ["sar", "mel", "sar", "mel"]},
+         "systems lists mel, sar more than once"),
+        ({"systems": []}, "systems must name at least one of mel/ae/sar"),
     ])
     def test_refused_before_any_file_is_touched(self, tmp_path, extra, error):
         # the corpus does not exist: the config must fail before it is read

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sarlab.dsp import AudioClip
+from sarlab.dsp import AudioClip, resample
 from sarlab import metrics
 from sarlab.metrics import estoi
 from sarlab.nn import make_rng
@@ -136,3 +137,66 @@ class TestEstoiInternals:
         assert np.array_equal(metrics._BAND_MATRIX, metrics._third_octave_matrix())
         for const in (metrics._WINDOW, metrics._BAND_MATRIX):
             assert not const.flags.writeable
+
+
+def ref_estoi(reference, degraded):
+    """`estoi` scored by the per-segment loop it used to run: each SEG_LEN-
+    frame slice of the band spectrograms normalised and correlated alone."""
+    sr = reference.sample_rate
+    n = min(len(reference), len(degraded))
+    ref, deg = metrics._strip_digital_silence(reference.samples[:n],
+                                              degraded.samples[:n])
+    if sr != metrics.ESTOI_RATE:
+        ref = resample(AudioClip(ref, sr), metrics.ESTOI_RATE).samples
+        deg = resample(AudioClip(deg, sr), metrics.ESTOI_RATE).samples
+    ref, deg = metrics._remove_silent_frames(ref, deg)
+    x, y = metrics._band_spectrogram(ref), metrics._band_spectrogram(deg)
+
+    def normalise(seg):
+        seg = seg - seg.mean(axis=1, keepdims=True)
+        seg = seg / (np.linalg.norm(seg, axis=1, keepdims=True) + metrics.NORM_EPS)
+        seg = seg - seg.mean(axis=0, keepdims=True)
+        return seg / (np.linalg.norm(seg, axis=0, keepdims=True) + metrics.NORM_EPS)
+
+    seg_len = metrics.SEG_LEN
+    scores = []
+    for m in range(seg_len, x.shape[1] + 1):
+        xs = normalise(x[:, m - seg_len:m])
+        ys = normalise(y[:, m - seg_len:m])
+        scores.append(float(np.sum(xs * ys)) / seg_len)
+    return float(np.mean(scores))
+
+
+class TestEstoiMatchesSegmentLoop:
+    @given(seed=st.integers(0, 10 ** 6),
+           rate=st.sampled_from([8000, 10000, 16000, 22050]),
+           seconds=st.floats(0.7, 2.5), snr_db=st.floats(-15.0, 30.0),
+           quiet=st.floats(0.0, 0.2), trim=st.integers(0, 100))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_same_score_as_per_segment_loop(self, seed, rate, seconds, snr_db,
+                                            quiet, trim):
+        clip = am_tones(seed, sr=rate, dur=seconds)
+        ref = clip.samples.copy()
+        n = len(ref)
+        ref[int(0.4 * n):int((0.4 + quiet) * n)] *= 1e-4  # dropped as silent
+        reference = AudioClip(ref, rate)
+        deg = with_noise(reference, snr_db, seed + 1).samples
+        degraded = AudioClip(deg[:n - trim], rate)
+        assert estoi(reference, degraded) == ref_estoi(reference, degraded)
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_blocks_of_segments_keep_the_score(self, monkeypatch, block):
+        # a short block cuts the segments into several passes, the last partial
+        clip = am_tones(5, sr=metrics.ESTOI_RATE, dur=1.5)
+        deg = with_noise(clip, 3, 6)
+        expect = ref_estoi(clip, deg)
+        monkeypatch.setattr(metrics, "SEG_BLOCK", block)
+        assert estoi(clip, deg) == expect
+
+    def test_one_segment(self):
+        # exactly SEG_LEN analysis frames: the windows hold one segment
+        n = metrics.FRAME_LEN + (metrics.SEG_LEN - 1) * metrics.FRAME_HOP
+        clip = am_tones(3, sr=metrics.ESTOI_RATE, dur=n / metrics.ESTOI_RATE)
+        deg = with_noise(clip, 5, 4)
+        assert metrics._band_spectrogram(clip.samples).shape[1] == metrics.SEG_LEN
+        assert estoi(clip, deg) == ref_estoi(clip, deg)
